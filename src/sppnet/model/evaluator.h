@@ -51,11 +51,15 @@ struct EvalOptions {
 /// the predecessor tree along which Response messages travel back to the
 /// source. Expected response-message counts, result counts and address
 /// counts are accumulated up the predecessor tree in reverse BFS order,
-/// which yields every node's exact expected forwarding load in
-/// O(nodes + edges) per source. Floods run 64 sources at a time over the
-/// batched BFS kernel (topology/bfs.h); the predecessor tree is the
-/// canonical one (parent = minimum-id neighbor one level closer to the
-/// source). Complete ("strongly connected") topologies are evaluated by
+/// which yields every node's exact expected forwarding load. Floods run
+/// 64 sources at a time over the batched BFS kernel (topology/bfs.h); the
+/// predecessor tree is the canonical one (parent = minimum-id neighbor
+/// one level closer to the source). Per batch, one scan of each level
+/// entry's neighbors against the previous level's source words finds the
+/// parents of all the entry's sources at once, so neighbor work is
+/// O(level entries * degree) per batch, not per source; each source then
+/// costs O(reached nodes) for one reverse pass over its reach list.
+/// Complete ("strongly connected") topologies are evaluated by
 /// closed form in O(nodes) total, exploiting the symmetry that every
 /// non-source cluster sits at depth 1.
 ///

@@ -1,6 +1,7 @@
 #include "sppnet/topology/bfs.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "sppnet/common/check.h"
 
@@ -184,6 +185,40 @@ std::optional<int> MinTtlForFullReach(const Topology& topo, NodeId source,
   return max_depth;
 }
 
+void SortUniqueNodes(std::vector<NodeId>& nodes, std::size_t n,
+                     std::vector<std::uint64_t>& bitmap) {
+  // A comparison sort costs about log2(size) steps per id; the bitmap
+  // pass costs a few steps per id plus one per bitmap word in the id
+  // range. Below one id per 16 words the sort is the cheaper of the two,
+  // so sparse sets (early levels at N = 10^6) keep it.
+  constexpr std::size_t kWordsPerIdForSort = 16;
+  const std::size_t words = WordsForBits(n);
+  if (nodes.size() * kWordsPerIdForSort < words) {
+    std::sort(nodes.begin(), nodes.end());
+    nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+    return;
+  }
+  if (bitmap.size() != words) bitmap.assign(words, 0);
+  std::size_t lo = words;
+  std::size_t hi = 0;
+  for (const NodeId v : nodes) {
+    const std::size_t w = v / kBfsWordBits;
+    bitmap[w] |= std::uint64_t{1} << (v % kBfsWordBits);
+    lo = std::min(lo, w);
+    hi = std::max(hi, w);
+  }
+  nodes.clear();
+  for (std::size_t w = lo; w <= hi && w < words; ++w) {
+    std::uint64_t bits = bitmap[w];
+    bitmap[w] = 0;
+    while (bits != 0) {
+      nodes.push_back(
+          static_cast<NodeId>(w * kBfsWordBits + std::countr_zero(bits)));
+      bits &= bits - 1;
+    }
+  }
+}
+
 void BatchedBfs::PrepareRun(const Graph& graph,
                             std::span<const NodeId> sources) {
   SPPNET_CHECK(!sources.empty());
@@ -246,7 +281,7 @@ void BatchedBfs::RunBitParallel(const Graph& graph, int max_depth) {
       }
     }
     if (touched_.empty()) break;
-    std::sort(touched_.begin(), touched_.end());
+    SortUniqueNodes(touched_, num_nodes_, touched_bits_);
     for (const NodeId v : touched_) {
       const std::uint64_t w = next_[v];
       next_[v] = 0;
@@ -316,6 +351,7 @@ std::size_t BatchedBfs::MemoryBytes() const {
   return visited_.capacity() * sizeof(std::uint64_t) +
          next_.capacity() * sizeof(std::uint64_t) +
          touched_.capacity() * sizeof(NodeId) +
+         touched_bits_.capacity() * sizeof(std::uint64_t) +
          entries_.capacity() * sizeof(BatchLevelEntry) +
          level_offsets_.capacity() * sizeof(std::size_t) +
          queue_.capacity() * sizeof(std::pair<NodeId, int>);

@@ -82,6 +82,13 @@ std::optional<double> EplForReach(const Topology& topo, NodeId source,
 std::optional<int> MinTtlForFullReach(const Topology& topo, NodeId source,
                                       FloodScratch& scratch);
 
+/// Sorts `nodes` (ids < n) ascending and drops duplicates. When the ids
+/// are dense relative to n, one pass over a node bitmap replaces the
+/// comparison sort; `bitmap` is that scratch, WordsForBits(n) zero words
+/// on entry and on return (it is sized on first use).
+void SortUniqueNodes(std::vector<NodeId>& nodes, std::size_t n,
+                     std::vector<std::uint64_t>& bitmap);
+
 /// One element of a batched-BFS level: bit i of `word` set means the
 /// flood from the batch's i-th source first reaches `node` at this level.
 struct BatchLevelEntry {
@@ -129,12 +136,11 @@ class BatchedBfs {
   int Depth(std::size_t source_bit, NodeId u) const;
 
   /// Bytes currently held by scratch + output arrays (capacity, not
-  /// size) — the bench reports this as bytes/node.
+  /// size).
   std::size_t MemoryBytes() const;
 
  private:
   void PrepareRun(const Graph& graph, std::span<const NodeId> sources);
-  void SealLevel();
   void RunBitParallel(const Graph& graph, int max_depth);
   void RunScalarReference(const Graph& graph,
                           std::span<const NodeId> sources, int max_depth);
@@ -142,6 +148,7 @@ class BatchedBfs {
   std::vector<std::uint64_t> visited_;  // One source-bit word per node.
   std::vector<std::uint64_t> next_;     // Level under construction.
   std::vector<NodeId> touched_;         // Nodes with nonzero next_ word.
+  std::vector<std::uint64_t> touched_bits_;  // SortUniqueNodes scratch.
   std::vector<BatchLevelEntry> entries_;     // All levels, concatenated.
   std::vector<std::size_t> level_offsets_;   // num_levels() + 1 fenceposts.
   std::vector<std::pair<NodeId, int>> queue_;  // Scalar-reference BFS queue.

@@ -112,6 +112,47 @@ TEST(BatchedBfsTest, PlodMatchesScalarFloodEverySource) {
   ExpectMatchesScalarFlood(MakePlod(300, 12345), 7);
 }
 
+TEST(BatchedBfsTest, LargePlodSparseAndDenseLevels) {
+  // At N = 10^5 the early levels of an 8-source batch hold fewer than
+  // one new node per 16 bitmap words and are ordered by sorting; the
+  // later ones by the bitmap pass.
+  const Graph graph = MakePlod(100000, 4321);
+  std::vector<NodeId> sources;
+  for (NodeId s = 0; s < 8; ++s) sources.push_back(s * 12345);
+  BatchedBfs a;
+  BatchedBfs b;
+  ExpectKernelsIdentical(graph, sources, 7, a, b);
+  EXPECT_LT(a.Level(1).size() * 16, WordsForBits(graph.num_nodes()));
+  EXPECT_GE(a.Level(a.num_levels() - 1).size() * 16,
+            WordsForBits(graph.num_nodes()));
+}
+
+TEST(SortUniqueNodesTest, SparseAndDenseInputsSortAndDeduplicate) {
+  const std::size_t n = 5000;  // 79 bitmap words.
+  std::vector<std::uint64_t> bitmap;
+  Rng rng(17);
+  for (const std::size_t count : {0u, 1u, 4u, 5u, 100u, 3000u, 20000u}) {
+    SCOPED_TRACE(testing::Message() << count << " ids");
+    std::vector<NodeId> nodes;
+    for (std::size_t i = 0; i < count; ++i) {
+      nodes.push_back(static_cast<NodeId>(rng.NextBounded(n)));
+    }
+    std::vector<NodeId> expected = nodes;
+    std::sort(expected.begin(), expected.end());
+    expected.erase(std::unique(expected.begin(), expected.end()),
+                   expected.end());
+    SortUniqueNodes(nodes, n, bitmap);
+    EXPECT_EQ(nodes, expected);
+    EXPECT_TRUE(std::all_of(bitmap.begin(), bitmap.end(),
+                            [](std::uint64_t w) { return w == 0; }));
+  }
+  std::vector<NodeId> ends = {static_cast<NodeId>(n - 1), 0,
+                              static_cast<NodeId>(n - 1), 64, 63};
+  ends.resize(100, 0);  // Dense enough for the bitmap pass.
+  SortUniqueNodes(ends, n, bitmap);
+  EXPECT_EQ(ends, (std::vector<NodeId>{0, 63, 64, static_cast<NodeId>(n - 1)}));
+}
+
 TEST(BatchedBfsTest, PlodRemainderBatch) {
   // 130 % 64 = 2: exercises a 2-source remainder batch.
   ExpectMatchesScalarFlood(MakePlod(130, 999), 4);
