@@ -1,9 +1,9 @@
 // Scale sweep for the batched evaluation engine: evaluate wall-time and
 // scratch bytes/node at graph sizes 10^4, 10^5 and 10^6 (PLOD, average
 // outdegree 3.1, cluster size 1 — the pure super-peer Gnutella overlay,
-// every node a flood source). The scalar-reference engine runs
-// alongside the bit-parallel one up to 10^5 so the speedup and the
-// bit-identity of the two engines are measured, not assumed.
+// every node a flood source). The evaluation runs on one worker and on
+// every hardware thread, and the two results are checked bitwise
+// identical (evaluation parallelism must never move a bit).
 //
 // TTL is 4, not the Gnutella default 7: at TTL 7 the outdeg-3.1 PLOD
 // flood is supercritical (a 10^6-node instance reaches ~3.4e5 peers
@@ -37,7 +37,7 @@ double TimerSeconds(const MetricsRegistry& metrics, const char* name) {
   return it == metrics.timers().end() ? 0.0 : it->second.total_seconds();
 }
 
-/// Bitwise comparison of two evaluations; any drift is an engine bug.
+/// Bitwise comparison of two evaluations; any drift is a fold-order bug.
 bool LoadsIdentical(const InstanceLoads& a, const InstanceLoads& b) {
   if (a.partner_load.size() != b.partner_load.size() ||
       a.client_load.size() != b.client_load.size()) {
@@ -57,8 +57,7 @@ bool LoadsIdentical(const InstanceLoads& a, const InstanceLoads& b) {
          a.duplicate_msgs_per_sec == b.duplicate_msgs_per_sec;
 }
 
-struct EngineRun {
-  const char* engine;
+struct EvalRun {
   std::size_t parallelism;
   double seconds = 0.0;
   double expand_seconds = 0.0;
@@ -67,16 +66,12 @@ struct EngineRun {
   InstanceLoads loads;
 };
 
-EngineRun RunEngine(const NetworkInstance& inst, const Configuration& config,
-                    const ModelInputs& inputs, EvalEngine engine,
-                    std::size_t parallelism) {
-  EngineRun result;
-  result.engine =
-      engine == EvalEngine::kBatched ? "batched" : "scalar_ref";
+EvalRun RunEval(const NetworkInstance& inst, const Configuration& config,
+                const ModelInputs& inputs, std::size_t parallelism) {
+  EvalRun result;
   result.parallelism = parallelism;
   MetricsRegistry metrics;
   EvalOptions options;
-  options.engine = engine;
   options.parallelism = parallelism;
   options.metrics = &metrics;
   const auto t0 = std::chrono::steady_clock::now();
@@ -99,9 +94,6 @@ int Main() {
   if (const char* cap = std::getenv("SPPNET_SCALE_MAX_N")) {
     max_n = std::strtoull(cap, nullptr, 10);
   }
-  // The scalar reference engine re-runs one BFS per source; past 1e5
-  // sources that is bench-hostile, so it is only timed up to this size.
-  constexpr std::size_t kScalarMaxN = 100000;
 
   BenchRun run("scale_sweep");
   run.Config("graph_type", "power_law");
@@ -114,8 +106,8 @@ int Main() {
   run.Config("hardware_threads", hw);
 
   const ModelInputs inputs = ModelInputs::Default();
-  TableWriter table({"N", "engine", "workers", "eval_s", "expand_s",
-                     "accum_s", "Ksrc/s", "scratch_B/node", "speedup"});
+  TableWriter table({"N", "workers", "eval_s", "expand_s", "accum_s",
+                     "Ksrc/s", "scratch_B/node"});
   bool identity_ok = true;
 
   for (const std::size_t n : {std::size_t{10000}, std::size_t{100000},
@@ -136,39 +128,27 @@ int Main() {
     std::printf("\nN=%zu: generated in %.2fs, mean reach pending...\n", n,
                 generate_seconds);
 
-    std::vector<EngineRun> runs;
-    if (n <= kScalarMaxN) {
-      runs.push_back(
-          RunEngine(inst, config, inputs, EvalEngine::kScalarReference, 1));
-    }
-    runs.push_back(RunEngine(inst, config, inputs, EvalEngine::kBatched, 1));
-    if (hw > 1) {
-      runs.push_back(RunEngine(inst, config, inputs, EvalEngine::kBatched, hw));
-    }
+    std::vector<EvalRun> runs;
+    runs.push_back(RunEval(inst, config, inputs, 1));
+    if (hw > 1) runs.push_back(RunEval(inst, config, inputs, hw));
 
-    // All engine runs of one instance must agree bitwise.
+    // Every run of one instance must agree bitwise.
     for (std::size_t i = 1; i < runs.size(); ++i) {
       if (!LoadsIdentical(runs[0].loads, runs[i].loads)) {
         identity_ok = false;
-        std::printf("IDENTITY VIOLATION: %s p=%zu vs %s p=%zu at N=%zu\n",
-                    runs[0].engine, runs[0].parallelism, runs[i].engine,
-                    runs[i].parallelism, n);
+        std::printf("IDENTITY VIOLATION: p=%zu vs p=%zu at N=%zu\n",
+                    runs[0].parallelism, runs[i].parallelism, n);
       }
     }
     std::printf("N=%zu: mean reach %.1f peers, mean EPL %.3f hops\n", n,
                 runs[0].loads.mean_reach, runs[0].loads.mean_epl);
 
-    const double scalar_seconds = n <= kScalarMaxN ? runs[0].seconds : 0.0;
-    for (const EngineRun& r : runs) {
-      const double speedup =
-          scalar_seconds > 0.0 ? scalar_seconds / r.seconds : 0.0;
-      table.AddRow({Format(n), r.engine, Format(r.parallelism),
-                    Format(r.seconds, 4),
+    for (const EvalRun& r : runs) {
+      table.AddRow({Format(n), Format(r.parallelism), Format(r.seconds, 4),
                     Format(r.expand_seconds, 3),
                     Format(r.accumulate_seconds, 3),
                     Format(static_cast<double>(n) / r.seconds / 1e3, 4),
-                    Format(r.scratch_bytes / static_cast<double>(n), 4),
-                    speedup > 0.0 ? Format(speedup, 3) : std::string("-")});
+                    Format(r.scratch_bytes / static_cast<double>(n), 4)});
     }
     run.metrics()
         .GetGauge("scale.scratch_bytes_per_node.n" + Format(n))
@@ -178,7 +158,7 @@ int Main() {
   std::printf("\n");
   run.Emit(table, "scale");
   run.Config("identity_ok", identity_ok ? "true" : "false");
-  std::printf("\nEngine bit-identity across all runs: %s\n",
+  std::printf("\nBit-identity across evaluation parallelism: %s\n",
               identity_ok ? "OK" : "FAILED");
   return identity_ok ? 0 : 1;
 }

@@ -1,24 +1,22 @@
 // Scale sweep for the discrete-event simulator core: flood baseline at
-// N = 1e3 ... 1e6 nodes, production engine (deterministic calendar
-// queue + dense per-query state) timed against the reference engine
-// (binary heap + hash-map state), plus the sharded conservative-window
-// discipline timed against its own sequential (S=1, T=1) reference.
-// Both members of every pair are checked bitwise-identical at the
-// SimReport level — the in-bench half of the equivalence contracts
-// (tests/sim/engine_equivalence_test and
-// tests/sim/sharded_equivalence_test hold the full matrices and the
-// pinned goldens).
+// N = 1e3 ... 1e6 nodes. The legacy loop (calendar queue + dense
+// per-query state, the fastest sequential engine) runs at every
+// N <= 1e5; the sharded conservative-window discipline runs at every
+// size, timed against its own sequential (S=1, T=1) reference and
+// checked bitwise-identical to it at the SimReport level — the in-bench
+// half of tests/sim/sharded_equivalence_test. Read the sharded rows'
+// Kev/s against the calendar+dense row of the same N: that is the
+// comparison against the fastest sequential engine.
 //
 // The sweep reports events/sec (whole run: warmup + measurement) and
 // the per-node scratch footprint of the event queue and the per-query
 // state, from the sim.queue.* / sim.state.* gauges. Simulated duration
-// shrinks as N grows so the reference hash-map backend stays within CI
-// memory; events/sec is duration-independent (steady-state event mix).
-// The heap+map reference pair stops at N = 1e5 (its duplicate tables
-// would need tens of minutes at 1e6); the sharded rows cover every
-// size. Sharded wall-clock speedup is machine-dependent — it needs
-// real cores to show parallel gain — while the identity checks hold on
-// any machine.
+// shrinks as N grows so the whole sweep stays within a CI time budget;
+// events/sec is duration-independent (steady-state event mix). The
+// legacy row stops at N = 1e5; the sharded rows cover every size.
+// Sharded wall-clock speedup is machine-dependent — it needs real cores
+// to show parallel gain — while the identity check holds on any
+// machine.
 //
 // SPPNET_SIM_SCALE_MAX_N caps the sweep (CI smoke runs set it down;
 // smoke mode clamps to 1e4 regardless of the override).
@@ -42,7 +40,7 @@ namespace sppnet::bench {
 namespace {
 
 /// Bitwise SimReport comparison: every field, including the load
-/// vectors. Any drift between engines is an overhaul bug.
+/// vectors. Any drift between shard plans is a sharding bug.
 bool ReportsIdentical(const SimReport& a, const SimReport& b) {
   if (a.partner_load.size() != b.partner_load.size() ||
       a.client_load.size() != b.client_load.size()) {
@@ -104,20 +102,15 @@ struct EngineRun {
   SimReport report;
 };
 
-EngineRun RunEngine(const NetworkInstance& inst, const Configuration& config,
-                    const ModelInputs& inputs, const SimOptions& base,
-                    SimEngine engine, SimStateBackend backend) {
+/// Times one configuration: best of `reps` runs of the event loop only
+/// (construction is setup). The runs are bit-identical, so repeats are a
+/// pure noise reduction, not a different workload.
+EngineRun TimeRun(const NetworkInstance& inst, const Configuration& config,
+                  const ModelInputs& inputs, SimOptions options,
+                  const char* label, int reps) {
   EngineRun result;
-  result.label = engine == SimEngine::kCalendar ? "calendar+dense"
-                                                : "heap+map_ref";
-  SimOptions options = base;
-  options.engine = engine;
-  options.state_backend = backend;
-  // Best of two runs, timing the event loop only (construction is
-  // engine-independent setup): the runs are bit-identical, so the
-  // second measurement is a pure noise reduction, not a different
-  // workload. Both engines get the same treatment.
-  for (int rep = 0; rep < 2; ++rep) {
+  result.label = label;
+  for (int rep = 0; rep < reps; ++rep) {
     MetricsRegistry metrics;
     options.metrics = &metrics;
     Simulator sim(inst, config, inputs, options);
@@ -133,34 +126,16 @@ EngineRun RunEngine(const NetworkInstance& inst, const Configuration& config,
   return result;
 }
 
-/// One run of the sharded conservative-window discipline on the
-/// production engine. `reps` reduces timer noise exactly as RunEngine
-/// does; the heaviest sizes run once.
+/// The sharded conservative-window discipline with `shards` shards
+/// drained by `threads` worker threads.
 EngineRun RunSharded(const NetworkInstance& inst, const Configuration& config,
                      const ModelInputs& inputs, const SimOptions& base,
                      std::size_t shards, std::size_t threads,
                      const char* label, int reps) {
-  EngineRun result;
-  result.label = label;
   SimOptions options = base;
-  options.engine = SimEngine::kCalendar;
-  options.state_backend = SimStateBackend::kDense;
   options.shards.num_shards = shards;
   options.shards.num_threads = threads;
-  for (int rep = 0; rep < reps; ++rep) {
-    MetricsRegistry metrics;
-    options.metrics = &metrics;
-    Simulator sim(inst, config, inputs, options);
-    const auto t0 = std::chrono::steady_clock::now();
-    result.report = sim.Run();
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (rep == 0 || seconds < result.seconds) result.seconds = seconds;
-    result.queue_bytes = metrics.GaugeValue("sim.queue.scratch_bytes");
-    result.state_bytes = metrics.GaugeValue("sim.state.scratch_bytes");
-  }
-  return result;
+  return TimeRun(inst, config, inputs, options, label, reps);
 }
 
 int Main() {
@@ -192,23 +167,20 @@ int Main() {
 
   const ModelInputs inputs = ModelInputs::Default();
   TableWriter table({"N", "engine", "run_s", "events", "Kev/s",
-                     "queue_B/node", "state_B/node", "speedup"});
-  bool identity_ok = true;
+                     "queue_B/node", "state_B/node"});
   bool sharded_identity_ok = true;
-  double speedup_1e4 = 0.0;
   double best_sharded_speedup = 0.0;
 
   struct SizePoint {
     std::size_t n;
     double duration;
-    bool legacy_pair;  // heap+map vs calendar+dense comparison runs.
+    bool legacy;  // Runs the calendar+dense legacy row.
   };
-  // Duration shrinks with N: the reference hash-map backend's duplicate
-  // tables grow with (clusters x queries), and the sweep must fit CI
-  // memory. Rates (events/sec) are steady-state, so this only trades
-  // measurement time, not comparability. At N = 1e6 only the sharded
-  // discipline runs (the heap+map reference would need tens of
-  // minutes), once per configuration.
+  // Duration shrinks with N so every size costs roughly the same
+  // event volume and the sweep fits a CI time budget. Rates
+  // (events/sec) are steady-state, so this only trades measurement
+  // time, not comparability. At N = 1e6 only the sharded discipline
+  // runs, once per configuration.
   const SizePoint kSizes[] = {
       {1000, SmokeSimSeconds(60.0, 10.0), true},
       {10000, SmokeSimSeconds(30.0, 5.0), true},
@@ -233,8 +205,7 @@ int Main() {
     base.seed = 7;
 
     const auto n_nodes = static_cast<double>(point.n);
-    const auto add_row = [&](const EngineRun& r, double events,
-                             double speedup) {
+    const auto add_row = [&](const EngineRun& r, double events) {
       table.AddRow(
           {Format(point.n), r.label, Format(r.seconds, 4),
            Format(static_cast<std::size_t>(events)),
@@ -242,46 +213,27 @@ int Main() {
            r.queue_bytes > 0.0 ? Format(r.queue_bytes / n_nodes, 2)
                                : std::string("-"),
            r.state_bytes > 0.0 ? Format(r.state_bytes / n_nodes, 2)
-                               : std::string("-"),
-           speedup > 0.0 ? Format(speedup, 3) : std::string("-")});
+                               : std::string("-")});
     };
 
-    if (point.legacy_pair) {
-      const EngineRun reference =
-          RunEngine(inst, config, inputs, base, SimEngine::kHeapReference,
-                    SimStateBackend::kMapReference);
-      const EngineRun production =
-          RunEngine(inst, config, inputs, base, SimEngine::kCalendar,
-                    SimStateBackend::kDense);
-
-      if (!ReportsIdentical(reference.report, production.report)) {
-        identity_ok = false;
-        std::printf("IDENTITY VIOLATION at N=%zu: calendar+dense drifted "
-                    "from heap+map\n",
-                    point.n);
-      }
-
+    if (point.legacy) {
+      const EngineRun legacy =
+          TimeRun(inst, config, inputs, base, "calendar+dense", 2);
       const double events =
-          static_cast<double>(production.report.events_dispatched);
-      const double speedup = reference.seconds / production.seconds;
-      if (point.n == 10000) speedup_1e4 = speedup;
+          static_cast<double>(legacy.report.events_dispatched);
       std::printf("\nN=%zu: %.0f events, queue HWM %llu, %.2fs sim time\n",
                   point.n, events,
                   static_cast<unsigned long long>(
-                      production.report.queue_depth_hwm),
+                      legacy.report.queue_depth_hwm),
                   point.duration);
 
-      add_row(reference, events, 0.0);
-      add_row(production, events, speedup);
+      add_row(legacy, events);
       run.metrics()
           .GetGauge("sim_scale.events_per_sec.n" + Format(point.n))
-          .Set(events / production.seconds);
-      run.metrics()
-          .GetGauge("sim_scale.speedup.n" + Format(point.n))
-          .Set(speedup);
+          .Set(events / legacy.seconds);
       run.metrics()
           .GetGauge("sim_scale.state_bytes_per_node.n" + Format(point.n))
-          .Set(production.state_bytes / n_nodes);
+          .Set(legacy.state_bytes / n_nodes);
     }
 
     // Sharded discipline: sequential (S=1, T=1) reference vs the
@@ -309,8 +261,8 @@ int Main() {
         static_cast<double>(sharded.report.events_dispatched);
     const double sharded_speedup = disc_seq.seconds / sharded.seconds;
     best_sharded_speedup = std::max(best_sharded_speedup, sharded_speedup);
-    add_row(disc_seq, sharded_events, 0.0);
-    add_row(sharded, sharded_events, sharded_speedup);
+    add_row(disc_seq, sharded_events);
+    add_row(sharded, sharded_events);
     run.metrics()
         .GetGauge("sim_scale.sharded.events_per_sec.n" + Format(point.n))
         .Set(sharded_events / sharded.seconds);
@@ -321,16 +273,9 @@ int Main() {
 
   std::printf("\n");
   run.Emit(table, "sim_scale");
-  run.Config("identity_ok", identity_ok ? "true" : "false");
   run.Config("sharded_identity_ok", sharded_identity_ok ? "true" : "false");
-  std::printf("\nSimReport bit-identity across engines: %s\n",
-              identity_ok ? "OK" : "FAILED");
-  std::printf("Sharded discipline bit-identity vs sequential: %s\n",
+  std::printf("\nSharded discipline bit-identity vs sequential: %s\n",
               sharded_identity_ok ? "OK" : "FAILED");
-  if (speedup_1e4 > 0.0) {
-    std::printf("Speedup at N=1e4 (calendar+dense vs heap+map): %.2fx\n",
-                speedup_1e4);
-  }
 
   // Multi-core smoke gate (CI): with SPPNET_SIM_SCALE_REQUIRE_SPEEDUP
   // set, the sharded discipline must actually beat its sequential
@@ -350,7 +295,7 @@ int Main() {
                   speedup_ok ? "OK" : "FAILED");
     }
   }
-  return identity_ok && sharded_identity_ok && speedup_ok ? 0 : 1;
+  return sharded_identity_ok && speedup_ok ? 0 : 1;
 }
 
 }  // namespace

@@ -266,11 +266,8 @@ class Evaluator {
 
   // --- Sparse (power-law) query evaluation ---------------------------------
   //
-  // Sources are processed in batches of 64 by the batched BFS kernel.
-  // One batch is evaluated in three stages, all of them shared between
-  // the bit-parallel and scalar-reference engines (the engines differ
-  // only in how the kernel's integer level lists are produced, which is
-  // why their floating-point outputs are bit-identical):
+  // Sources are processed in batches of 64 by the bit-parallel batched
+  // BFS kernel. One batch is evaluated in three stages:
   //
   //   1. Walk the level entries (node, source-word) once. For all the
   //      word's sources together, a scan of the node's sorted neighbors
@@ -290,8 +287,7 @@ class Evaluator {
   // floating-point reduction (the model/trials.cc contract).
 
   template <typename Pos>
-  BatchResult ComputeBatch(std::size_t b, BatchedBfs::Kernel kernel,
-                           BatchScratch<Pos>& sc) {
+  BatchResult ComputeBatch(std::size_t b, BatchScratch<Pos>& sc) {
     const Graph& graph = inst_.topology.graph();
     BatchResult res;
     const std::size_t begin = b * kBfsWordBits;
@@ -303,7 +299,7 @@ class Evaluator {
     }
 
     const auto t0 = std::chrono::steady_clock::now();
-    sc.bfs.Run(graph, {sources.data(), batch_size}, config_.ttl, kernel);
+    sc.bfs.Run(graph, {sources.data(), batch_size}, config_.ttl);
     const auto t1 = std::chrono::steady_clock::now();
     res.expand_seconds = std::chrono::duration<double>(t1 - t0).count();
 
@@ -583,9 +579,6 @@ class Evaluator {
   void EvaluateQueriesBatched(const EvalOptions& options) {
     SPPNET_CHECK(config_.ttl >= 0);
     const std::size_t num_batches = WordsForBits(n_);
-    const BatchedBfs::Kernel kernel = options.engine == EvalEngine::kBatched
-                                          ? BatchedBfs::Kernel::kBitParallel
-                                          : BatchedBfs::Kernel::kScalarReference;
 
     double weighted_results = 0.0;
     double weighted_epl = 0.0;
@@ -622,7 +615,7 @@ class Evaluator {
     if (workers <= 1) {
       BatchScratch<Pos> scratch(n_);
       for (std::size_t b = 0; b < num_batches; ++b) {
-        fold(ComputeBatch(b, kernel, scratch));
+        fold(ComputeBatch(b, scratch));
       }
     } else {
       // Workers claim batches in order off an atomic counter; the
@@ -650,7 +643,7 @@ class Evaluator {
               space_available.wait(
                   lock, [&] { return b < fold_cursor + window; });
             }
-            BatchResult r = ComputeBatch(b, kernel, scratch);
+            BatchResult r = ComputeBatch(b, scratch);
             {
               std::lock_guard<std::mutex> lock(mu);
               ready.emplace(b, std::move(r));

@@ -11,23 +11,9 @@ namespace sppnet {
 
 class MetricsRegistry;
 
-/// Which BFS kernel drives the query-flood evaluation. Both kernels
-/// produce bit-identical per-level flood structures (integers and
-/// source-bit words), and every floating-point accumulation downstream
-/// of the kernel is shared code — so the two engines yield bit-identical
-/// InstanceLoads on every input, which tests/model/eval_identity_test.cc
-/// enforces. kBatched is the production engine; kScalarReference exists
-/// to pin it down and to serve as the baseline in bench/scale_sweep.
-enum class EvalEngine {
-  kBatched,          ///< Bit-parallel 64-source batched BFS kernel.
-  kScalarReference,  ///< One scalar queue BFS per source, same pipeline.
-};
-
 /// Options for EvaluateInstance. Defaults reproduce the plain
-/// three-argument overload: batched engine, no in-trial parallelism.
+/// three-argument overload: no in-trial parallelism, no metrics.
 struct EvalOptions {
-  EvalEngine engine = EvalEngine::kBatched;
-
   /// Worker threads sharding the 64-source batches. Per-batch results
   /// are folded in batch order on the calling thread (the same
   /// bit-reproducibility contract as model/trials.cc), so every value
@@ -35,10 +21,9 @@ struct EvalOptions {
   std::size_t parallelism = 1;
 
   /// Optional sink for eval.bfs.* counters/gauges and phase timers.
-  /// Counters and gauges are deterministic (bit-identical across engines
-  /// is NOT required of them — they describe kernel work — but they are
-  /// identical across parallelism); timers are wall-clock, report-only.
-  /// Not owned; may be null. Folded from one thread.
+  /// Counters and gauges are deterministic: they describe kernel work
+  /// and are identical across parallelism. Timers are wall-clock,
+  /// report-only. Not owned; may be null. Folded from one thread.
   MetricsRegistry* metrics = nullptr;
 };
 
@@ -73,7 +58,7 @@ InstanceLoads EvaluateInstance(const NetworkInstance& instance,
                                const Configuration& config,
                                const ModelInputs& inputs);
 
-/// As above with explicit engine/parallelism/metrics options.
+/// As above with explicit parallelism/metrics options.
 InstanceLoads EvaluateInstance(const NetworkInstance& instance,
                                const Configuration& config,
                                const ModelInputs& inputs,

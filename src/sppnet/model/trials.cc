@@ -73,7 +73,6 @@ TrialObservation RunOneTrial(const Configuration& config,
   const auto t1 = std::chrono::steady_clock::now();
   MetricsRegistry eval_metrics;
   EvalOptions eval_options;
-  eval_options.engine = options.eval_engine;
   eval_options.parallelism = options.eval_parallelism;
   eval_options.metrics = &eval_metrics;
   const InstanceLoads loads =

@@ -24,9 +24,6 @@ struct TrialOptions {
   /// serial run regardless of the value: per-trial RNG streams are
   /// pre-split and observations are folded in trial order.
   std::size_t parallelism = 1;
-  /// BFS kernel for per-trial evaluation (see EvalOptions::engine).
-  /// Both engines produce bit-identical reports.
-  EvalEngine eval_engine = EvalEngine::kBatched;
   /// Worker threads *within* each trial's evaluation, sharding source
   /// batches (see EvalOptions::parallelism). Bit-transparent like
   /// `parallelism`; the two compose (trials x batches workers).

@@ -21,19 +21,10 @@ struct SimEvent {
   double x = 0.0;
 };
 
-/// Pending-event structure driving the simulator main loop. The
-/// calendar queue is the O(1)-amortized production engine; the binary
-/// heap is the reference implementation both engines are held
-/// bit-identical against (tests/sim/engine_equivalence_test.cc) —
-/// the same pattern as EvalEngine in model/evaluator.h.
-enum class SimEngine {
-  /// Deterministic bucketed calendar queue (R. Brown, CACM 1988).
-  kCalendar,
-  /// std::priority_queue min-heap; O(log n) per operation.
-  kHeapReference,
-};
-
-/// Min-heap of SimEvents ordered by (time, seq).
+/// Min-heap of SimEvents ordered by (time, seq); O(log n) per
+/// operation. A test oracle only: the simulator runs on CalendarQueue,
+/// and tests/sim/event_queue_test.cc holds the two to identical pop
+/// streams.
 class EventQueue {
  public:
   EventQueue() = default;
@@ -42,13 +33,7 @@ class EventQueue {
   /// number. Times must be finite and >= 0 (checked).
   void Schedule(SimEvent event);
 
-  /// Schedules an event whose tie-breaking key the CALLER already
-  /// assigned (event.seq is taken verbatim; the internal counter is
-  /// untouched). The sharded discipline derives keys from message
-  /// content — (class, domain, counter) — so an event's position in the
-  /// (time, seq) order is independent of which queue it lands in;
-  /// mixing caller-keyed and queue-keyed events in one queue is the
-  /// caller's responsibility to keep collision-free.
+  /// Caller-keyed counterpart of Schedule (see CalendarQueue).
   void SchedulePreKeyed(const SimEvent& event);
 
   bool empty() const { return heap_.empty(); }
@@ -80,8 +65,9 @@ class EventQueue {
   std::uint64_t next_seq_ = 0;
 };
 
-/// Deterministic calendar queue (R. Brown, "Calendar Queues", CACM
-/// 1988): a power-of-two array of unsorted buckets, each holding the
+/// Pending-event structure driving the simulator main loop, its shard
+/// queues and its control queue: a deterministic calendar queue
+/// (R. Brown, "Calendar Queues", CACM 1988) — a power-of-two array of unsorted buckets, each holding the
 /// events whose time falls in one `width`-second slice ("day") of the
 /// calendar; a day maps to bucket `day & (nbuckets-1)`, so the array
 /// wraps around once per `nbuckets * width` seconds ("year").
@@ -114,8 +100,13 @@ class CalendarQueue {
   /// number. Times must be finite and >= 0 (checked).
   void Schedule(SimEvent event);
 
-  /// Caller-keyed counterpart of Schedule (see EventQueue): event.seq
-  /// is taken verbatim, the internal counter is untouched.
+  /// Schedules an event whose tie-breaking key the CALLER already
+  /// assigned (event.seq is taken verbatim; the internal counter is
+  /// untouched). The sharded discipline derives keys from message
+  /// content — (class, domain, counter) — so an event's position in the
+  /// (time, seq) order is independent of which queue it lands in;
+  /// mixing caller-keyed and queue-keyed events in one queue is the
+  /// caller's responsibility to keep collision-free.
   void SchedulePreKeyed(const SimEvent& event) { Insert(event); }
 
   bool empty() const { return size_ == 0; }
@@ -233,72 +224,6 @@ class CalendarQueue {
   mutable std::uint64_t day_steps_ = 0;
   mutable std::uint64_t slot_visits_ = 0;
   mutable std::uint64_t global_scans_ = 0;
-};
-
-/// The queue the simulator actually talks to: dispatches every call to
-/// the engine selected at construction. Both engines deliver the same
-/// (time, seq) order, so a run's event stream is engine-independent.
-class SimEventQueue {
- public:
-  explicit SimEventQueue(SimEngine engine) : engine_(engine) {}
-
-  void Schedule(const SimEvent& event) {
-    if (engine_ == SimEngine::kCalendar) {
-      calendar_.Schedule(event);
-    } else {
-      heap_.Schedule(event);
-    }
-  }
-  /// Caller-keyed scheduling (sharded discipline); see EventQueue.
-  void SchedulePreKeyed(const SimEvent& event) {
-    if (engine_ == SimEngine::kCalendar) {
-      calendar_.SchedulePreKeyed(event);
-    } else {
-      heap_.SchedulePreKeyed(event);
-    }
-  }
-  bool empty() const {
-    return engine_ == SimEngine::kCalendar ? calendar_.empty() : heap_.empty();
-  }
-  std::size_t size() const {
-    return engine_ == SimEngine::kCalendar ? calendar_.size() : heap_.size();
-  }
-  double NextTime() const {
-    return engine_ == SimEngine::kCalendar ? calendar_.NextTime()
-                                           : heap_.NextTime();
-  }
-  SimEvent Pop() {
-    return engine_ == SimEngine::kCalendar ? calendar_.Pop() : heap_.Pop();
-  }
-
-  /// Checkpoint support; see the engine members for semantics.
-  std::vector<SimEvent> SnapshotEvents() const {
-    return engine_ == SimEngine::kCalendar ? calendar_.SnapshotEvents()
-                                           : heap_.SnapshotEvents();
-  }
-  void RestorePending(const std::vector<SimEvent>& events,
-                      std::uint64_t next_seq) {
-    if (engine_ == SimEngine::kCalendar) {
-      calendar_.RestorePending(events, next_seq);
-    } else {
-      heap_.RestorePending(events, next_seq);
-    }
-  }
-  std::uint64_t next_seq() const {
-    return engine_ == SimEngine::kCalendar ? calendar_.next_seq()
-                                           : heap_.next_seq();
-  }
-
-  SimEngine engine() const { return engine_; }
-  /// Null for the heap engine (it has no engine-specific stats).
-  const CalendarQueue* calendar() const {
-    return engine_ == SimEngine::kCalendar ? &calendar_ : nullptr;
-  }
-
- private:
-  SimEngine engine_;
-  EventQueue heap_;
-  CalendarQueue calendar_;
 };
 
 }  // namespace sppnet

@@ -2,195 +2,117 @@
 
 #include <algorithm>
 #include <functional>
-#include <iterator>
 #include <utility>
 
 namespace sppnet {
-namespace {
 
-/// Estimated heap bytes per unordered_map node (libstdc++: node header
-/// + payload, plus the bucket-array pointer amortized per element).
-template <typename K, typename V>
-std::size_t MapEntryBytes() {
-  return sizeof(std::pair<const K, V>) + 2 * sizeof(void*);
-}
-
-}  // namespace
-
-SimState::SimState(SimStateBackend backend, std::size_t num_clusters)
-    : backend_(backend), num_clusters_(num_clusters) {
-  if (backend_ == SimStateBackend::kDense) {
-    dense_cache_.resize(num_clusters_);
-  } else {
-    map_table_.resize(num_clusters_);
-    map_cache_.resize(num_clusters_);
-  }
-}
+SimState::SimState(std::size_t num_clusters) : dense_cache_(num_clusters) {}
 
 void SimState::EnsureClusters(std::size_t num_clusters) {
-  if (backend_ == SimStateBackend::kDense) {
-    if (num_clusters > dense_cache_.size()) dense_cache_.resize(num_clusters);
-    return;
-  }
-  if (num_clusters > map_table_.size()) map_table_.resize(num_clusters);
-  if (num_clusters > map_cache_.size()) map_cache_.resize(num_clusters);
+  if (num_clusters > dense_cache_.size()) dense_cache_.resize(num_clusters);
 }
 
 QueryState& SimState::Claim(std::uint64_t qid) {
   SPPNET_CHECK(qid >= qid_base_);
-  if (backend_ == SimStateBackend::kDense) {
-    const std::size_t slot = SlotOf(qid);
-    EnsureSlot(state_slots_, slot, QueryState{});
-    EnsureSlot(state_live_, slot, std::uint8_t{0});
-    SPPNET_CHECK(!state_live_[slot]);
-    state_live_[slot] = 1;
-    state_slots_[slot] = QueryState{};
-    return state_slots_[slot];
-  }
-  return map_state_.try_emplace(qid).first->second;
+  const std::size_t slot = SlotOf(qid);
+  EnsureSlot(state_slots_, slot, QueryState{});
+  EnsureSlot(state_live_, slot, std::uint8_t{0});
+  SPPNET_CHECK(!state_live_[slot]);
+  state_live_[slot] = 1;
+  state_slots_[slot] = QueryState{};
+  return state_slots_[slot];
 }
 
 QueryState* SimState::Find(std::uint64_t qid) {
-  if (backend_ == SimStateBackend::kDense) {
-    const std::size_t slot = SlotOf(qid);
-    if (slot >= state_live_.size() || !state_live_[slot]) return nullptr;
-    return &state_slots_[slot];
-  }
-  const auto it = map_state_.find(qid);
-  return it == map_state_.end() ? nullptr : &it->second;
+  const std::size_t slot = SlotOf(qid);
+  if (slot >= state_live_.size() || !state_live_[slot]) return nullptr;
+  return &state_slots_[slot];
 }
 
 void SimState::SetRoot(std::uint64_t qid, std::uint64_t root) {
   SPPNET_CHECK(qid >= qid_base_);
-  if (backend_ == SimStateBackend::kDense) {
-    const std::size_t slot = SlotOf(qid);
-    EnsureSlot(root_slots_, slot, kNoRoot);
-    if (root_slots_[slot] == kNoRoot) root_slots_[slot] = root;
-    return;
-  }
-  map_root_.emplace(qid, root);
+  const std::size_t slot = SlotOf(qid);
+  EnsureSlot(root_slots_, slot, kNoRoot);
+  if (root_slots_[slot] == kNoRoot) root_slots_[slot] = root;
 }
 
 std::uint64_t SimState::RootOf(std::uint64_t qid) const {
-  if (backend_ == SimStateBackend::kDense) {
-    const std::size_t slot = SlotOf(qid);
-    if (slot >= root_slots_.size() || root_slots_[slot] == kNoRoot) return qid;
-    return root_slots_[slot];
-  }
-  const auto it = map_root_.find(qid);
-  return it == map_root_.end() ? qid : it->second;
+  const std::size_t slot = SlotOf(qid);
+  if (slot >= root_slots_.size() || root_slots_[slot] == kNoRoot) return qid;
+  return root_slots_[slot];
 }
 
 void SimState::SetQueryString(std::uint64_t qid, const std::string& text) {
   SPPNET_CHECK(qid >= qid_base_);
-  if (backend_ == SimStateBackend::kDense) {
-    const std::size_t slot = SlotOf(qid);
-    EnsureSlot(symbol_slots_, slot, kNoSymbol);
-    if (symbol_slots_[slot] != kNoSymbol) return;  // emplace semantics.
-    const auto [it, inserted] = symbol_lookup_.try_emplace(
-        text, static_cast<std::uint32_t>(symbol_texts_.size()));
-    if (inserted) {
-      symbol_texts_.push_back(text);
-      // Hashing once at intern time matches hashing on demand: equal
-      // strings hash equal.
-      symbol_hashes_.push_back(std::hash<std::string>{}(text));
-    }
-    symbol_slots_[slot] = it->second;
-    ++interned_count_;
-    return;
+  const std::size_t slot = SlotOf(qid);
+  EnsureSlot(symbol_slots_, slot, kNoSymbol);
+  if (symbol_slots_[slot] != kNoSymbol) return;  // emplace semantics.
+  const auto [it, inserted] = symbol_lookup_.try_emplace(
+      text, static_cast<std::uint32_t>(symbol_texts_.size()));
+  if (inserted) {
+    symbol_texts_.push_back(text);
+    // Hashing once at intern time matches hashing on demand: equal
+    // strings hash equal.
+    symbol_hashes_.push_back(std::hash<std::string>{}(text));
   }
-  if (map_strings_.emplace(qid, text).second) ++interned_count_;
+  symbol_slots_[slot] = it->second;
+  ++interned_count_;
 }
 
 void SimState::ShareQueryString(std::uint64_t root, std::uint64_t retry_qid) {
   SPPNET_CHECK(retry_qid >= qid_base_);
-  if (backend_ == SimStateBackend::kDense) {
-    const std::size_t root_slot = SlotOf(root);
-    if (root_slot >= symbol_slots_.size() ||
-        symbol_slots_[root_slot] == kNoSymbol) {
-      return;
-    }
-    const std::size_t slot = SlotOf(retry_qid);
-    EnsureSlot(symbol_slots_, slot, kNoSymbol);
-    if (symbol_slots_[slot] != kNoSymbol) return;
-    symbol_slots_[slot] = symbol_slots_[root_slot];
-    ++interned_count_;
+  const std::size_t root_slot = SlotOf(root);
+  if (root_slot >= symbol_slots_.size() ||
+      symbol_slots_[root_slot] == kNoSymbol) {
     return;
   }
-  const auto it = map_strings_.find(root);
-  if (it == map_strings_.end()) return;
-  if (map_strings_.emplace(retry_qid, it->second).second) ++interned_count_;
+  const std::size_t slot = SlotOf(retry_qid);
+  EnsureSlot(symbol_slots_, slot, kNoSymbol);
+  if (symbol_slots_[slot] != kNoSymbol) return;
+  symbol_slots_[slot] = symbol_slots_[root_slot];
+  ++interned_count_;
 }
 
 const std::string* SimState::QueryString(std::uint64_t qid) const {
-  if (backend_ == SimStateBackend::kDense) {
-    const std::size_t slot = SlotOf(qid);
-    if (slot >= symbol_slots_.size() || symbol_slots_[slot] == kNoSymbol) {
-      return nullptr;
-    }
-    return &symbol_texts_[symbol_slots_[slot]];
+  const std::size_t slot = SlotOf(qid);
+  if (slot >= symbol_slots_.size() || symbol_slots_[slot] == kNoSymbol) {
+    return nullptr;
   }
-  const auto it = map_strings_.find(qid);
-  return it == map_strings_.end() ? nullptr : &it->second;
+  return &symbol_texts_[symbol_slots_[slot]];
 }
 
 bool SimState::QueryStringHash(std::uint64_t qid, std::uint64_t* out) const {
-  if (backend_ == SimStateBackend::kDense) {
-    const std::size_t slot = SlotOf(qid);
-    if (slot >= symbol_slots_.size() || symbol_slots_[slot] == kNoSymbol) {
-      return false;
-    }
-    *out = symbol_hashes_[symbol_slots_[slot]];
-    return true;
+  const std::size_t slot = SlotOf(qid);
+  if (slot >= symbol_slots_.size() || symbol_slots_[slot] == kNoSymbol) {
+    return false;
   }
-  const auto it = map_strings_.find(qid);
-  if (it == map_strings_.end()) return false;
-  *out = std::hash<std::string>{}(it->second);
+  *out = symbol_hashes_[symbol_slots_[slot]];
   return true;
 }
 
 QueryCacheEntry* SimState::FindCacheEntry(std::size_t cluster,
                                           std::uint64_t key) {
-  if (backend_ == SimStateBackend::kDense) {
-    return dense_cache_[cluster].Find(key);
-  }
-  const auto it = map_cache_[cluster].find(key);
-  return it == map_cache_[cluster].end() ? nullptr : &it->second;
+  return dense_cache_[cluster].Find(key);
 }
 
 QueryCacheEntry& SimState::CacheEntrySlot(std::size_t cluster,
                                           std::uint64_t key) {
-  if (backend_ == SimStateBackend::kDense) {
-    return *dense_cache_[cluster].FindOrInsert(key).first;
-  }
-  return map_cache_[cluster][key];
+  return *dense_cache_[cluster].FindOrInsert(key).first;
 }
 
 void SimState::RetireBelow(std::uint64_t floor) {
   if (floor <= qid_base_) return;
-  if (backend_ == SimStateBackend::kDense) {
-    const std::uint64_t drop = floor - qid_base_;
-    const auto drop_prefix = [drop](auto& v) {
-      const std::size_t d =
-          static_cast<std::size_t>(std::min<std::uint64_t>(drop, v.size()));
-      v.erase(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(d));
-    };
-    drop_prefix(dense_table_);
-    drop_prefix(state_slots_);
-    drop_prefix(state_live_);
-    drop_prefix(root_slots_);
-    drop_prefix(symbol_slots_);
-  } else {
-    const auto erase_below = [floor](auto& m) {
-      for (auto it = m.begin(); it != m.end();) {
-        it = it->first < floor ? m.erase(it) : std::next(it);
-      }
-    };
-    for (auto& table : map_table_) erase_below(table);
-    erase_below(map_state_);
-    erase_below(map_root_);
-    erase_below(map_strings_);
-  }
+  const std::uint64_t drop = floor - qid_base_;
+  const auto drop_prefix = [drop](auto& v) {
+    const std::size_t d =
+        static_cast<std::size_t>(std::min<std::uint64_t>(drop, v.size()));
+    v.erase(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(d));
+  };
+  drop_prefix(dense_table_);
+  drop_prefix(state_slots_);
+  drop_prefix(state_live_);
+  drop_prefix(root_slots_);
+  drop_prefix(symbol_slots_);
   qid_base_ = floor;
 }
 
@@ -229,31 +151,22 @@ void SimState::SaveTo(CheckpointWriter& w) const {
   w.PutU64(qid_base_);
   w.PutU64(duplicate_entries_);
   w.PutU64(interned_count_);
-  const bool dense = backend_ == SimStateBackend::kDense;
-  w.PutU64(dense ? dense_cache_.size() : map_cache_.size());
+  w.PutU64(dense_cache_.size());
 
   // Every list below is collected then canonically sorted, so the bytes
-  // are a function of the logical contents alone — identical across
-  // backends and across the dense tables' probe layouts.
+  // are a function of the logical contents alone, never of the tables'
+  // probe layouts.
   struct SeenEntry {
     std::uint64_t qid;
     std::uint64_t cluster;
     std::uint32_t upstream;
   };
   std::vector<SeenEntry> seen;
-  if (dense) {
-    for (std::size_t i = 0; i < dense_table_.size(); ++i) {
-      dense_table_[i].ForEach(
-          [&](std::uint64_t cluster, const std::uint32_t& upstream) {
-            seen.push_back({qid_base_ + i, cluster, upstream});
-          });
-    }
-  } else {
-    for (std::size_t c = 0; c < map_table_.size(); ++c) {
-      for (const auto& [qid, upstream] : map_table_[c]) {
-        seen.push_back({qid, c, upstream});
-      }
-    }
+  for (std::size_t i = 0; i < dense_table_.size(); ++i) {
+    dense_table_[i].ForEach(
+        [&](std::uint64_t cluster, const std::uint32_t& upstream) {
+          seen.push_back({qid_base_ + i, cluster, upstream});
+        });
   }
   std::sort(seen.begin(), seen.end(), [](const SeenEntry& a,
                                          const SeenEntry& b) {
@@ -266,16 +179,11 @@ void SimState::SaveTo(CheckpointWriter& w) const {
     w.PutU32(e.upstream);
   }
 
+  // The slot arrays below are already in qid order.
   std::vector<std::pair<std::uint64_t, QueryState>> states;
-  if (dense) {
-    for (std::size_t i = 0; i < state_live_.size(); ++i) {
-      if (state_live_[i]) states.emplace_back(qid_base_ + i, state_slots_[i]);
-    }
-  } else {
-    states.assign(map_state_.begin(), map_state_.end());
+  for (std::size_t i = 0; i < state_live_.size(); ++i) {
+    if (state_live_[i]) states.emplace_back(qid_base_ + i, state_slots_[i]);
   }
-  std::sort(states.begin(), states.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   w.PutU64(states.size());
   for (const auto& [qid, state] : states) {
     w.PutU64(qid);
@@ -283,16 +191,11 @@ void SimState::SaveTo(CheckpointWriter& w) const {
   }
 
   std::vector<std::pair<std::uint64_t, std::uint64_t>> roots;
-  if (dense) {
-    for (std::size_t i = 0; i < root_slots_.size(); ++i) {
-      if (root_slots_[i] != kNoRoot) {
-        roots.emplace_back(qid_base_ + i, root_slots_[i]);
-      }
+  for (std::size_t i = 0; i < root_slots_.size(); ++i) {
+    if (root_slots_[i] != kNoRoot) {
+      roots.emplace_back(qid_base_ + i, root_slots_[i]);
     }
-  } else {
-    roots.assign(map_root_.begin(), map_root_.end());
   }
-  std::sort(roots.begin(), roots.end());
   w.PutU64(roots.size());
   for (const auto& [qid, root] : roots) {
     w.PutU64(qid);
@@ -300,19 +203,11 @@ void SimState::SaveTo(CheckpointWriter& w) const {
   }
 
   std::vector<std::pair<std::uint64_t, const std::string*>> strings;
-  if (dense) {
-    for (std::size_t i = 0; i < symbol_slots_.size(); ++i) {
-      if (symbol_slots_[i] != kNoSymbol) {
-        strings.emplace_back(qid_base_ + i, &symbol_texts_[symbol_slots_[i]]);
-      }
-    }
-  } else {
-    for (const auto& [qid, text] : map_strings_) {
-      strings.emplace_back(qid, &text);
+  for (std::size_t i = 0; i < symbol_slots_.size(); ++i) {
+    if (symbol_slots_[i] != kNoSymbol) {
+      strings.emplace_back(qid_base_ + i, &symbol_texts_[symbol_slots_[i]]);
     }
   }
-  std::sort(strings.begin(), strings.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   w.PutU64(strings.size());
   for (const auto& [qid, text] : strings) {
     w.PutU64(qid);
@@ -325,19 +220,11 @@ void SimState::SaveTo(CheckpointWriter& w) const {
     QueryCacheEntry entry;
   };
   std::vector<CacheLine> cache_lines;
-  const std::size_t cache_clusters = dense ? dense_cache_.size()
-                                           : map_cache_.size();
-  for (std::size_t c = 0; c < cache_clusters; ++c) {
-    if (dense) {
-      dense_cache_[c].ForEach(
-          [&](std::uint64_t key, const QueryCacheEntry& entry) {
-            cache_lines.push_back({c, key, entry});
-          });
-    } else {
-      for (const auto& [key, entry] : map_cache_[c]) {
-        cache_lines.push_back({c, key, entry});
-      }
-    }
+  for (std::size_t c = 0; c < dense_cache_.size(); ++c) {
+    dense_cache_[c].ForEach(
+        [&](std::uint64_t key, const QueryCacheEntry& entry) {
+          cache_lines.push_back({c, key, entry});
+        });
   }
   std::sort(cache_lines.begin(), cache_lines.end(),
             [](const CacheLine& a, const CacheLine& b) {
@@ -414,36 +301,23 @@ bool SimState::LoadFrom(CheckpointReader& r) {
 
 std::size_t SimState::ApproxScratchBytes() const {
   std::size_t bytes = 0;
-  if (backend_ == SimStateBackend::kDense) {
-    for (const auto& table : dense_table_) bytes += table.ApproxMemoryBytes();
-    for (const auto& cache : dense_cache_) bytes += cache.ApproxMemoryBytes();
-    bytes += dense_table_.capacity() * sizeof(dense_table_[0]);
-    bytes += dense_cache_.capacity() * sizeof(dense_cache_[0]);
-    bytes += state_slots_.capacity() * sizeof(QueryState);
-    bytes += state_live_.capacity();
-    bytes += root_slots_.capacity() * sizeof(std::uint64_t);
-    bytes += symbol_slots_.capacity() * sizeof(std::uint32_t);
-    bytes += symbol_hashes_.capacity() * sizeof(std::uint64_t);
-    for (const std::string& text : symbol_texts_) {
-      bytes += sizeof(std::string) + text.capacity();
-    }
-    bytes += symbol_lookup_.size() *
-             MapEntryBytes<std::string, std::uint32_t>();
-    return bytes;
+  for (const auto& table : dense_table_) bytes += table.ApproxMemoryBytes();
+  for (const auto& cache : dense_cache_) bytes += cache.ApproxMemoryBytes();
+  bytes += dense_table_.capacity() * sizeof(dense_table_[0]);
+  bytes += dense_cache_.capacity() * sizeof(dense_cache_[0]);
+  bytes += state_slots_.capacity() * sizeof(QueryState);
+  bytes += state_live_.capacity();
+  bytes += root_slots_.capacity() * sizeof(std::uint64_t);
+  bytes += symbol_slots_.capacity() * sizeof(std::uint32_t);
+  bytes += symbol_hashes_.capacity() * sizeof(std::uint64_t);
+  for (const std::string& text : symbol_texts_) {
+    bytes += sizeof(std::string) + text.capacity();
   }
-  for (const auto& table : map_table_) {
-    bytes += table.size() * MapEntryBytes<std::uint64_t, std::uint32_t>();
-  }
-  for (const auto& cache : map_cache_) {
-    bytes += cache.size() * MapEntryBytes<std::uint64_t, QueryCacheEntry>();
-  }
-  bytes += map_table_.capacity() * sizeof(map_table_[0]);
-  bytes += map_cache_.capacity() * sizeof(map_cache_[0]);
-  bytes += map_state_.size() * MapEntryBytes<std::uint64_t, QueryState>();
-  bytes += map_root_.size() * MapEntryBytes<std::uint64_t, std::uint64_t>();
-  for (const auto& [qid, text] : map_strings_) {
-    bytes += MapEntryBytes<std::uint64_t, std::string>() + text.capacity();
-  }
+  // The intern lookup is a std::unordered_map: estimate its node header
+  // + payload, plus the bucket-array pointer amortized per element.
+  bytes += symbol_lookup_.size() *
+           (sizeof(std::pair<const std::string, std::uint32_t>) +
+            2 * sizeof(void*));
   return bytes;
 }
 

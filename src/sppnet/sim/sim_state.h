@@ -11,20 +11,6 @@
 
 namespace sppnet {
 
-/// Storage backing for the simulator's per-query state. The dense
-/// backend exploits the fact that query ids are handed out sequentially
-/// from 0 (slot arrays) and that the per-cluster tables only ever see
-/// point lookups (open addressing, no iteration); the hash-map backend
-/// is the reference implementation both are held bit-identical against
-/// (tests/sim/engine_equivalence_test.cc).
-enum class SimStateBackend {
-  /// Generation-stamped slot arrays keyed by qid + open-addressing
-  /// tables; no per-entry allocation.
-  kDense,
-  /// The original std::unordered_map containers.
-  kMapReference,
-};
-
 /// Per-user-query bookkeeping shared by all strategies, keyed by the
 /// root query id (expanding-ring / retry qids map back to it).
 struct QueryState {
@@ -156,12 +142,14 @@ class FlatMap64 {
 /// All per-query simulator state behind one facade: the duplicate
 /// tables (per-cluster qid -> upstream), the per-root QueryState, the
 /// retry-qid -> root mapping, the interned query strings of concrete
-/// mode, and the per-cluster result caches. Both backends implement
-/// identical semantics; the simulator never observes which one it is
-/// running on (see DESIGN.md §9 for the determinism argument).
+/// mode, and the per-cluster result caches. The storage exploits the
+/// fact that query ids are handed out sequentially from 0 (generation-
+/// stamped slot arrays keyed by qid) and that the per-cluster tables
+/// only ever see point lookups (open addressing, no per-entry
+/// allocation); see DESIGN.md §9 for the determinism argument.
 class SimState {
  public:
-  SimState(SimStateBackend backend, std::size_t num_clusters);
+  explicit SimState(std::size_t num_clusters);
 
   /// Grows the per-cluster containers to cover cluster ids below
   /// `num_clusters` (no-op when already large enough). The in-sim
@@ -198,16 +186,16 @@ class SimState {
   void ShareQueryString(std::uint64_t root, std::uint64_t retry_qid);
   /// Null when qid has no string.
   const std::string* QueryString(std::uint64_t qid) const;
-  /// std::hash of qid's string; false when qid has no string. The dense
-  /// backend pre-computes the hash once per distinct interned string —
-  /// the value is identical to hashing on demand.
+  /// std::hash of qid's string; false when qid has no string. The hash
+  /// is pre-computed once per distinct interned string — the value is
+  /// identical to hashing on demand.
   bool QueryStringHash(std::uint64_t qid, std::uint64_t* out) const;
 
   // --- Per-cluster result caches ------------------------------------------
   /// Null when `cluster` has no live entry for `key`.
   QueryCacheEntry* FindCacheEntry(std::size_t cluster, std::uint64_t key);
-  /// Find-or-insert (fresh entries value-initialized), mirroring the
-  /// reference operator[] semantics.
+  /// Find-or-insert (fresh entries value-initialized), with
+  /// std::unordered_map::operator[] semantics.
   QueryCacheEntry& CacheEntrySlot(std::size_t cluster, std::uint64_t key);
 
   // --- Retirement (streaming mode) -----------------------------------------
@@ -223,24 +211,20 @@ class SimState {
   std::uint64_t retire_floor() const { return qid_base_; }
 
   // --- Checkpoint (streaming mode) ------------------------------------------
-  /// Serializes the logical contents in a backend-portable, canonically
-  /// sorted form: both backends holding the same entries produce the
-  /// same bytes, so a checkpoint written under one backend restores
-  /// under the other.
+  /// Serializes the logical contents in a canonically sorted form: the
+  /// bytes are a function of the entries alone, never of the tables'
+  /// probe layouts or capacities.
   void SaveTo(CheckpointWriter& w) const;
   /// Populates this freshly constructed, still-empty state (checked)
   /// from a checkpoint. Returns false when the payload is malformed.
   bool LoadFrom(CheckpointReader& r);
 
   // --- Introspection (sim.state.* gauges) ----------------------------------
-  /// Approximate resident bytes of every container above. Derived from
-  /// element counts and capacities: deterministic for the dense backend,
-  /// estimated per-node costs for the reference maps.
+  /// Approximate resident bytes of every container above, derived from
+  /// element counts and capacities (deterministic).
   std::size_t ApproxScratchBytes() const;
   std::uint64_t duplicate_entries() const { return duplicate_entries_; }
   std::uint64_t interned_strings() const { return interned_count_; }
-
-  SimStateBackend backend() const { return backend_; }
 
  private:
   static constexpr std::uint64_t kNoRoot = ~std::uint64_t{0};
@@ -262,18 +246,15 @@ class SimState {
     return static_cast<std::size_t>(qid - qid_base_);
   }
 
-  const SimStateBackend backend_;
-  const std::size_t num_clusters_;
   /// Qids below this are retired (RetireBelow); 0 in batch runs.
   std::uint64_t qid_base_ = 0;
   std::uint64_t duplicate_entries_ = 0;
   std::uint64_t interned_count_ = 0;
 
-  // --- Dense backend -------------------------------------------------------
-  /// Duplicate tables indexed by qid, keyed by cluster — the inverse of
-  /// the reference layout. Qids are touched in tight bursts (one flood),
-  /// so the hot table is small and cache-resident; per-cluster tables
-  /// would spread the same probes over the whole table population.
+  /// Duplicate tables indexed by qid, keyed by cluster. Qids are touched
+  /// in tight bursts (one flood), so the hot table is small and
+  /// cache-resident; per-cluster tables would spread the same probes
+  /// over the whole table population.
   std::vector<FlatMap64<std::uint32_t>> dense_table_;
   std::vector<QueryState> state_slots_;                 // Indexed by qid.
   std::vector<std::uint8_t> state_live_;
@@ -283,47 +264,30 @@ class SimState {
   std::vector<std::uint64_t> symbol_hashes_;
   std::unordered_map<std::string, std::uint32_t> symbol_lookup_;
   std::vector<FlatMap64<QueryCacheEntry>> dense_cache_;  // Lazy-sized.
-
-  // --- Reference backend ---------------------------------------------------
-  std::vector<std::unordered_map<std::uint64_t, std::uint32_t>> map_table_;
-  std::unordered_map<std::uint64_t, QueryState> map_state_;
-  std::unordered_map<std::uint64_t, std::uint64_t> map_root_;
-  std::unordered_map<std::uint64_t, std::string> map_strings_;
-  std::vector<std::unordered_map<std::uint64_t, QueryCacheEntry>> map_cache_;
 };
 
 inline bool SimState::MarkSeen(std::size_t cluster, std::uint64_t qid,
                                std::uint32_t upstream) {
   // A visit for a retired qid means the retention horizon was violated
-  // (the map backend would silently re-insert and diverge from dense);
-  // one predictable compare buys a loud failure instead.
+  // (its slot is gone, and a wrapped index would grow the table without
+  // bound); one predictable compare buys a loud failure instead.
   SPPNET_CHECK(qid >= qid_base_);
-  bool fresh;
-  if (backend_ == SimStateBackend::kDense) {
-    // Keyed per qid (not per cluster): a flood's visits all land in one
-    // small table that stays cache-resident while the flood is live,
-    // instead of scattering point probes across every cluster's table.
-    EnsureSlot(dense_table_, SlotOf(qid), {});
-    const auto [slot, inserted] =
-        dense_table_[SlotOf(qid)].FindOrInsert(cluster);
-    if (inserted) *slot = upstream;
-    fresh = inserted;
-  } else {
-    fresh = map_table_[cluster].try_emplace(qid, upstream).second;
+  // Keyed per qid (not per cluster): a flood's visits all land in one
+  // small table that stays cache-resident while the flood is live,
+  // instead of scattering point probes across every cluster's table.
+  EnsureSlot(dense_table_, SlotOf(qid), {});
+  const auto [slot, inserted] = dense_table_[SlotOf(qid)].FindOrInsert(cluster);
+  if (inserted) {
+    *slot = upstream;
+    ++duplicate_entries_;
   }
-  if (fresh) ++duplicate_entries_;
-  return fresh;
+  return inserted;
 }
 
 inline const std::uint32_t* SimState::Upstream(std::size_t cluster,
                                                std::uint64_t qid) const {
-  if (backend_ == SimStateBackend::kDense) {
-    if (SlotOf(qid) >= dense_table_.size()) return nullptr;
-    return dense_table_[SlotOf(qid)].Find(cluster);
-  }
-  if (qid < qid_base_) return nullptr;
-  const auto it = map_table_[cluster].find(qid);
-  return it == map_table_[cluster].end() ? nullptr : &it->second;
+  if (SlotOf(qid) >= dense_table_.size()) return nullptr;
+  return dense_table_[SlotOf(qid)].Find(cluster);
 }
 
 }  // namespace sppnet

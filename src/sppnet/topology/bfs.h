@@ -104,11 +104,9 @@ struct BatchLevelEntry {
 /// The output is a per-depth list of (node, source-word) entries with node
 /// ids ascending within each level — a canonical form that does not depend
 /// on which kernel produced it. The scalar reference kernel (64 ordinary
-/// queue BFS traversals bucketed into the same shape) exists to pin the
-/// bit-parallel kernel down: both must produce bit-identical levels, which
-/// is what tests/topology/batched_bfs_test.cc enforces and what lets the
-/// evaluation engine swap kernels without perturbing any downstream
-/// floating-point arithmetic.
+/// queue BFS traversals bucketed into the same shape) is a test oracle:
+/// tests/topology/batched_bfs_test.cc holds the bit-parallel kernel, the
+/// one the evaluator runs, to bit-identical levels against it.
 ///
 /// Depths are truncated at `max_depth` (the flood TTL): a node first
 /// reached at depth d is recorded iff d <= max_depth. State is recycled

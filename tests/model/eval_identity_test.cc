@@ -1,11 +1,12 @@
 // ctest-label: threaded
-// Bit-identity of the evaluation engines: the batched (bit-parallel)
-// and scalar-reference kernels must produce EXACTLY the same
-// InstanceLoads — every double bitwise equal — at every evaluation
-// parallelism level. The engines share all floating-point accumulation
-// and differ only in how the integer flood structures are computed, so
-// any mismatch means a kernel bug, not an acceptable rounding wiggle;
-// EXPECT_EQ (not EXPECT_DOUBLE_EQ / NEAR) is deliberate.
+// Bit-identity of the evaluator across evaluation parallelism: every
+// parallelism level must produce EXACTLY the same InstanceLoads — every
+// double bitwise equal. Per-batch results are folded in batch order, so
+// any mismatch means a fold-order bug, not an acceptable rounding
+// wiggle; EXPECT_EQ (not EXPECT_DOUBLE_EQ / NEAR) is deliberate. The
+// bit-parallel BFS kernel itself is held to the scalar reference kernel
+// in tests/topology/batched_bfs_test.cc, and the loads are pinned in
+// eval_golden_test.cc.
 
 #include <vector>
 
@@ -85,19 +86,14 @@ TEST_P(EvalIdentityTest, EnginesAndParallelismBitIdentical) {
   const NetworkInstance inst = GenerateInstance(config, inputs, rng);
 
   std::vector<InstanceLoads> all;
-  for (const EvalEngine engine :
-       {EvalEngine::kBatched, EvalEngine::kScalarReference}) {
-    for (const std::size_t parallelism : {1u, 2u, 8u}) {
-      EvalOptions options;
-      options.engine = engine;
-      options.parallelism = parallelism;
-      all.push_back(EvaluateInstance(inst, config, inputs, options));
-    }
+  const std::size_t kParallelism[] = {1, 2, 8};
+  for (const std::size_t parallelism : kParallelism) {
+    EvalOptions options;
+    options.parallelism = parallelism;
+    all.push_back(EvaluateInstance(inst, config, inputs, options));
   }
   for (std::size_t i = 1; i < all.size(); ++i) {
-    SCOPED_TRACE(testing::Message()
-                 << "variant " << i << " (engine " << i / 3 << ", parallelism "
-                 << (i % 3 == 0 ? 1 : i % 3 == 1 ? 2 : 8) << ")");
+    SCOPED_TRACE(testing::Message() << "parallelism " << kParallelism[i]);
     ExpectLoadsIdentical(all[0], all[i]);
   }
 }
@@ -115,12 +111,12 @@ INSTANTIATE_TEST_SUITE_P(
         IdentityCase{300, 20, 1, 2, 10.0, GraphType::kPowerLaw},
         // cluster_size 1: pure super-peer network, no clients.
         IdentityCase{200, 1, 1, 7, 3.1, GraphType::kPowerLaw},
-        // Complete topology: closed form, engines trivially identical.
+        // Complete topology: closed form, trivially identical.
         IdentityCase{400, 10, 2, 2, 0.0, GraphType::kStronglyConnected}));
 
 /// The same identity must survive the trial runner with its own
-/// parallelism on top: engine choice and both parallelism knobs may not
-/// move a single bit of any report statistic.
+/// parallelism on top: neither parallelism knob may move a single bit of
+/// any report statistic.
 TEST(EvalIdentityTest, TrialReportsBitIdenticalAcrossEngineAndParallelism) {
   Configuration config;
   config.graph_type = GraphType::kPowerLaw;
@@ -131,18 +127,14 @@ TEST(EvalIdentityTest, TrialReportsBitIdenticalAcrossEngineAndParallelism) {
   const ModelInputs inputs = ModelInputs::Default();
 
   std::vector<ConfigurationReport> reports;
-  for (const EvalEngine engine :
-       {EvalEngine::kBatched, EvalEngine::kScalarReference}) {
-    for (const std::size_t eval_parallelism : {1u, 2u, 8u}) {
-      TrialOptions options;
-      options.num_trials = 3;
-      options.seed = 2026;
-      options.collect_outdegree_histograms = true;
-      options.parallelism = 2;
-      options.eval_engine = engine;
-      options.eval_parallelism = eval_parallelism;
-      reports.push_back(RunTrials(config, inputs, options));
-    }
+  for (const std::size_t eval_parallelism : {1u, 2u, 8u}) {
+    TrialOptions options;
+    options.num_trials = 3;
+    options.seed = 2026;
+    options.collect_outdegree_histograms = true;
+    options.parallelism = 2;
+    options.eval_parallelism = eval_parallelism;
+    reports.push_back(RunTrials(config, inputs, options));
   }
   for (std::size_t i = 1; i < reports.size(); ++i) {
     SCOPED_TRACE(testing::Message() << "variant " << i);

@@ -162,23 +162,17 @@ TEST(EvalOracleTieTest, ResponseFollowsLowerIdParent) {
                            costs.response_per_result_bytes * 3.0));
   ASSERT_GT(bundle_bps, 0.0);
 
-  for (const EvalEngine engine :
-       {EvalEngine::kBatched, EvalEngine::kScalarReference}) {
-    EvalOptions options;
-    options.engine = engine;
-    const InstanceLoads loads =
-        EvaluateInstance(inst, config, inputs, options);
-    const auto& p = loads.partner_load;
-    const double tol = 1e-9 * bundle_bps;
-    // 3 receives the bundle from 5 and forwards it to 2, which forwards
-    // it to the source; their mirror images 4 and 1 carry nothing.
-    EXPECT_NEAR(p[3].in_bps - p[4].in_bps, bundle_bps, tol);
-    EXPECT_NEAR(p[3].out_bps - p[4].out_bps, bundle_bps, tol);
-    EXPECT_NEAR(p[2].in_bps - p[1].in_bps, bundle_bps, tol);
-    EXPECT_NEAR(p[2].out_bps - p[1].out_bps, bundle_bps, tol);
-    EXPECT_EQ(loads.epl_per_source[0], 3.0);
-    EXPECT_EQ(loads.reach_per_source[0], 6.0);
-  }
+  const InstanceLoads loads = EvaluateInstance(inst, config, inputs);
+  const auto& p = loads.partner_load;
+  const double tol = 1e-9 * bundle_bps;
+  // 3 receives the bundle from 5 and forwards it to 2, which forwards it
+  // to the source; their mirror images 4 and 1 carry nothing.
+  EXPECT_NEAR(p[3].in_bps - p[4].in_bps, bundle_bps, tol);
+  EXPECT_NEAR(p[3].out_bps - p[4].out_bps, bundle_bps, tol);
+  EXPECT_NEAR(p[2].in_bps - p[1].in_bps, bundle_bps, tol);
+  EXPECT_NEAR(p[2].out_bps - p[1].out_bps, bundle_bps, tol);
+  EXPECT_EQ(loads.epl_per_source[0], 3.0);
+  EXPECT_EQ(loads.reach_per_source[0], 6.0);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -207,77 +208,98 @@ TEST(EventQueueStressTest, IdenticalScheduleSequenceDrainsIdentically) {
   EXPECT_TRUE(b.empty());
 }
 
-// --- Engine matrix -----------------------------------------------------
+// --- Both queue classes -----------------------------------------------
 //
-// Every ordering rule above must hold for BOTH engines behind
-// SimEventQueue: the reference heap and the production calendar queue.
-// The differential tests below feed identical schedule sequences to
-// both and assert the pop streams match event for event — the queue-level
-// half of the whole-simulator equivalence goldens.
+// Every ordering rule above must hold for the production calendar queue
+// as well as for the binary-heap EventQueue, the oracle it is held
+// against. Each test below is a generic body run on both classes; the
+// differential test feeds identical schedule sequences to one of each
+// and asserts the pop streams match event for event — the queue-level
+// half of the whole-simulator goldens.
 
-class EngineQueueTest : public ::testing::TestWithParam<SimEngine> {};
+/// Which queue class a parameterized test runs on. A value parameter
+/// (rather than a gtest typed suite) keeps the test names stable.
+enum class QueueClass { kCalendar, kHeap };
+
+/// Runs `body(queue)` on a fresh queue of the selected class.
+template <typename Body>
+void WithQueue(QueueClass queue_class, Body&& body) {
+  if (queue_class == QueueClass::kCalendar) {
+    CalendarQueue q;
+    body(q);
+  } else {
+    EventQueue q;
+    body(q);
+  }
+}
+
+std::string QueueClassName(
+    const ::testing::TestParamInfo<QueueClass>& info) {
+  return info.param == QueueClass::kCalendar ? "Calendar" : "HeapReference";
+}
+
+class EngineQueueTest : public ::testing::TestWithParam<QueueClass> {};
 
 INSTANTIATE_TEST_SUITE_P(BothEngines, EngineQueueTest,
-                         ::testing::Values(SimEngine::kCalendar,
-                                           SimEngine::kHeapReference),
-                         [](const auto& info) {
-                           return info.param == SimEngine::kCalendar
-                                      ? "Calendar"
-                                      : "HeapReference";
-                         });
+                         ::testing::Values(QueueClass::kCalendar,
+                                           QueueClass::kHeap),
+                         QueueClassName);
 
 TEST_P(EngineQueueTest, PopsInTimeOrderWithFifoTies) {
-  SimEventQueue q(GetParam());
-  Rng rng(4242);
-  constexpr std::uint64_t kNumEvents = 20000;
-  const double kTimes[] = {0.0, 0.5, 1.0, 1.25, 2.0, 7.5, 100.0};
-  for (std::uint64_t i = 0; i < kNumEvents; ++i) {
-    SimEvent e;
-    e.time = kTimes[rng.NextBounded(std::size(kTimes))];
-    e.a = i;
-    q.Schedule(e);
-  }
-  ASSERT_EQ(q.size(), kNumEvents);
-  double prev_time = -1.0;
-  std::uint64_t prev_index = 0;
-  bool first = true;
-  while (!q.empty()) {
-    EXPECT_DOUBLE_EQ(q.NextTime(), q.NextTime());  // Idempotent peek.
-    const SimEvent e = q.Pop();
-    if (!first && e.time == prev_time) {
-      ASSERT_GT(e.a, prev_index);
-    } else if (!first) {
-      ASSERT_GT(e.time, prev_time);
+  WithQueue(GetParam(), [](auto& q) {
+    Rng rng(4242);
+    constexpr std::uint64_t kNumEvents = 20000;
+    const double kTimes[] = {0.0, 0.5, 1.0, 1.25, 2.0, 7.5, 100.0};
+    for (std::uint64_t i = 0; i < kNumEvents; ++i) {
+      SimEvent e;
+      e.time = kTimes[rng.NextBounded(std::size(kTimes))];
+      e.a = i;
+      q.Schedule(e);
     }
-    prev_time = e.time;
-    prev_index = e.a;
-    first = false;
-  }
+    ASSERT_EQ(q.size(), kNumEvents);
+    double prev_time = -1.0;
+    std::uint64_t prev_index = 0;
+    bool first = true;
+    while (!q.empty()) {
+      EXPECT_DOUBLE_EQ(q.NextTime(), q.NextTime());  // Idempotent peek.
+      const SimEvent e = q.Pop();
+      if (!first && e.time == prev_time) {
+        ASSERT_GT(e.a, prev_index);
+      } else if (!first) {
+        ASSERT_GT(e.time, prev_time);
+      }
+      prev_time = e.time;
+      prev_index = e.a;
+      first = false;
+    }
+  });
 }
 
 TEST_P(EngineQueueTest, MassiveSingleTimestampFloodPopsFifo) {
   // Worst-case tie flood: every event in one calendar day. Selection
   // must fall back to pure seq order.
-  SimEventQueue q(GetParam());
-  constexpr std::uint32_t kNumEvents = 10000;
-  for (std::uint32_t i = 0; i < kNumEvents; ++i) {
-    SimEvent e;
-    e.time = 3.25;
-    e.node = i;
-    q.Schedule(e);
-  }
-  for (std::uint32_t i = 0; i < kNumEvents; ++i) {
-    ASSERT_EQ(q.Pop().node, i);
-  }
-  EXPECT_TRUE(q.empty());
+  WithQueue(GetParam(), [](auto& q) {
+    constexpr std::uint32_t kNumEvents = 10000;
+    for (std::uint32_t i = 0; i < kNumEvents; ++i) {
+      SimEvent e;
+      e.time = 3.25;
+      e.node = i;
+      q.Schedule(e);
+    }
+    for (std::uint32_t i = 0; i < kNumEvents; ++i) {
+      ASSERT_EQ(q.Pop().node, i);
+    }
+    EXPECT_TRUE(q.empty());
+  });
 }
 
 TEST(EngineDifferentialTest, EnginesDrainIdenticallyUnderRandomLoad) {
   // Interleaved schedule/pop with colliding timestamps, growth past
   // several resize thresholds, and drain back down through the shrink
-  // path: the two engines must produce byte-identical pop streams.
-  SimEventQueue calendar(SimEngine::kCalendar);
-  SimEventQueue heap(SimEngine::kHeapReference);
+  // path: the calendar queue and the heap oracle must produce
+  // byte-identical pop streams.
+  CalendarQueue calendar;
+  EventQueue heap;
   Rng rng(20240731);
   double now = 0.0;
   std::uint32_t next_node = 0;
@@ -329,52 +351,51 @@ TEST(EngineDifferentialTest, EnginesDrainIdenticallyUnderRandomLoad) {
 // --- Death tests: empty-queue access and invalid times -----------------
 //
 // NextTime()/Pop() on an empty queue and non-finite or negative
-// Schedule() times are programming errors; both engines must abort
-// loudly instead of silently corrupting delivery order (a NaN breaks
-// the comparator's strict weak ordering; empty access was UB).
+// Schedule() times are programming errors; both queue classes must
+// abort loudly instead of silently corrupting delivery order (a NaN
+// breaks the comparator's strict weak ordering; empty access was UB).
 
 using EngineQueueDeathTest = EngineQueueTest;
 
 INSTANTIATE_TEST_SUITE_P(BothEngines, EngineQueueDeathTest,
-                         ::testing::Values(SimEngine::kCalendar,
-                                           SimEngine::kHeapReference),
-                         [](const auto& info) {
-                           return info.param == SimEngine::kCalendar
-                                      ? "Calendar"
-                                      : "HeapReference";
-                         });
+                         ::testing::Values(QueueClass::kCalendar,
+                                           QueueClass::kHeap),
+                         QueueClassName);
 
 TEST_P(EngineQueueDeathTest, PopOnEmptyAborts) {
-  SimEventQueue q(GetParam());
-  EXPECT_DEATH(q.Pop(), "SPPNET_CHECK failed");
-  SimEvent e;
-  e.time = 1.0;
-  q.Schedule(e);
-  q.Pop();
-  EXPECT_DEATH(q.Pop(), "SPPNET_CHECK failed");  // Drained, not just new.
+  WithQueue(GetParam(), [](auto& q) {
+    EXPECT_DEATH(q.Pop(), "SPPNET_CHECK failed");
+    SimEvent e;
+    e.time = 1.0;
+    q.Schedule(e);
+    q.Pop();
+    EXPECT_DEATH(q.Pop(), "SPPNET_CHECK failed");  // Drained, not just new.
+  });
 }
 
 TEST_P(EngineQueueDeathTest, NextTimeOnEmptyAborts) {
-  SimEventQueue q(GetParam());
-  EXPECT_DEATH(q.NextTime(), "SPPNET_CHECK failed");
+  WithQueue(GetParam(), [](auto& q) {
+    EXPECT_DEATH(q.NextTime(), "SPPNET_CHECK failed");
+  });
 }
 
 TEST_P(EngineQueueDeathTest, ScheduleRejectsNonFiniteAndNegativeTimes) {
-  SimEventQueue q(GetParam());
-  SimEvent e;
-  e.time = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_DEATH(q.Schedule(e), "isfinite");
-  e.time = std::numeric_limits<double>::infinity();
-  EXPECT_DEATH(q.Schedule(e), "isfinite");
-  e.time = -std::numeric_limits<double>::infinity();
-  EXPECT_DEATH(q.Schedule(e), "isfinite");
-  e.time = -1e-9;
-  EXPECT_DEATH(q.Schedule(e), "time >= 0");
-  // The largest finite double is legal — clamped into the final
-  // calendar day, not overflowed.
-  e.time = std::numeric_limits<double>::max();
-  q.Schedule(e);
-  EXPECT_DOUBLE_EQ(q.Pop().time, std::numeric_limits<double>::max());
+  WithQueue(GetParam(), [](auto& q) {
+    SimEvent e;
+    e.time = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_DEATH(q.Schedule(e), "isfinite");
+    e.time = std::numeric_limits<double>::infinity();
+    EXPECT_DEATH(q.Schedule(e), "isfinite");
+    e.time = -std::numeric_limits<double>::infinity();
+    EXPECT_DEATH(q.Schedule(e), "isfinite");
+    e.time = -1e-9;
+    EXPECT_DEATH(q.Schedule(e), "time >= 0");
+    // The largest finite double is legal — clamped into the final
+    // calendar day, not overflowed.
+    e.time = std::numeric_limits<double>::max();
+    q.Schedule(e);
+    EXPECT_DOUBLE_EQ(q.Pop().time, std::numeric_limits<double>::max());
+  });
 }
 
 // --- Calendar-specific behaviour ---------------------------------------

@@ -1,14 +1,15 @@
-// Unit coverage for the dense per-query state backend: the FlatMap64
-// open-addressing table in isolation, and SimState's dense vs
-// map-reference backends held to identical observable semantics op by
-// op (the whole-simulator version of this contract lives in
-// engine_equivalence_test.cc).
+// Unit coverage for the simulator's per-query state: the FlatMap64
+// open-addressing table in isolation, and SimState's observable
+// semantics op by op (the whole-simulator version of this contract
+// lives in engine_equivalence_test.cc).
 
 #include "sppnet/sim/sim_state.h"
 
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -100,171 +101,144 @@ TEST(FlatMap64Test, AdversarialKeysCollideWithoutLoss) {
   }
 }
 
-// --- SimState backend parity --------------------------------------------
+// --- SimState semantics ------------------------------------------------
 //
-// Drive both backends through the same operation sequence and assert
-// every observable return value matches. The simulator relies on this
-// parity for the bitwise engine-equivalence goldens; these tests localize
-// a violation to the specific operation instead of a whole-run digest.
-
-struct BackendPair {
-  SimState dense{SimStateBackend::kDense, 8};
-  SimState map{SimStateBackend::kMapReference, 8};
-};
+// Every operation's observable result, checked against explicit expected
+// values (and, for the random MarkSeen sequence, a small first-writer-
+// wins map). The whole-simulator goldens in engine_equivalence_test.cc
+// depend on these semantics; these tests localize a violation to the
+// specific operation instead of a whole-run digest.
 
 TEST(SimStateParityTest, MarkSeenAndUpstream) {
-  BackendPair s;
+  SimState s(8);
+  // Oracle: (cluster, qid) -> the first upstream recorded for it.
+  std::unordered_map<std::uint64_t, std::uint32_t> first_upstream;
   Rng rng(11);
   for (int i = 0; i < 2000; ++i) {
     const std::size_t cluster = rng.NextBounded(8);
     const std::uint64_t qid = rng.NextBounded(300);
     const auto upstream = static_cast<std::uint32_t>(rng.NextBounded(50));
-    ASSERT_EQ(s.dense.MarkSeen(cluster, qid, upstream),
-              s.map.MarkSeen(cluster, qid, upstream));
-    const std::uint32_t* du = s.dense.Upstream(cluster, qid);
-    const std::uint32_t* mu = s.map.Upstream(cluster, qid);
-    ASSERT_NE(du, nullptr);
-    ASSERT_NE(mu, nullptr);
-    ASSERT_EQ(*du, *mu);  // First writer wins in both backends.
+    const auto [it, fresh] =
+        first_upstream.try_emplace(qid * 8 + cluster, upstream);
+    ASSERT_EQ(s.MarkSeen(cluster, qid, upstream), fresh);
+    const std::uint32_t* up = s.Upstream(cluster, qid);
+    ASSERT_NE(up, nullptr);
+    ASSERT_EQ(*up, it->second);  // First writer wins.
   }
-  EXPECT_EQ(s.dense.duplicate_entries(), s.map.duplicate_entries());
-  EXPECT_EQ(s.dense.Upstream(0, 999999), nullptr);
-  EXPECT_EQ(s.map.Upstream(0, 999999), nullptr);
+  EXPECT_EQ(s.duplicate_entries(), first_upstream.size());
+  for (std::size_t cluster = 0; cluster < 8; ++cluster) {
+    for (std::uint64_t qid = 0; qid < 300; ++qid) {
+      EXPECT_EQ(s.Upstream(cluster, qid) != nullptr,
+                first_upstream.count(qid * 8 + cluster) == 1);
+    }
+  }
+  EXPECT_EQ(s.Upstream(0, 999999), nullptr);
 }
 
 TEST(SimStateParityTest, ClaimFindAndRootMapping) {
-  BackendPair s;
+  SimState s(8);
   for (std::uint64_t qid = 0; qid < 200; qid += 2) {
-    QueryState& d = s.dense.Claim(qid);
-    QueryState& m = s.map.Claim(qid);
-    d.user = m.user = static_cast<std::uint32_t>(qid);
-    d.submit_time = m.submit_time = 0.5 * static_cast<double>(qid);
+    QueryState& state = s.Claim(qid);
+    EXPECT_EQ(state.user, 0u);  // Claimed state is value-initialized.
+    state.user = static_cast<std::uint32_t>(qid);
+    state.submit_time = 0.5 * static_cast<double>(qid);
   }
   for (std::uint64_t qid = 0; qid < 220; ++qid) {
-    QueryState* d = s.dense.Find(qid);
-    QueryState* m = s.map.Find(qid);
-    ASSERT_EQ(d == nullptr, m == nullptr) << qid;
-    if (d != nullptr) {
-      ASSERT_EQ(d->user, m->user);
-      ASSERT_EQ(d->submit_time, m->submit_time);
+    QueryState* state = s.Find(qid);
+    ASSERT_EQ(state != nullptr, qid < 200 && qid % 2 == 0) << qid;
+    if (state != nullptr) {
+      ASSERT_EQ(state->user, qid);
+      ASSERT_EQ(state->submit_time, 0.5 * static_cast<double>(qid));
     }
   }
   // Root mapping: unmapped qids resolve to themselves; the first
-  // SetRoot binding wins (emplace semantics) in both backends.
-  EXPECT_EQ(s.dense.RootOf(17), 17u);
-  EXPECT_EQ(s.map.RootOf(17), 17u);
-  s.dense.SetRoot(100, 4);
-  s.map.SetRoot(100, 4);
-  s.dense.SetRoot(100, 9);  // Must not overwrite.
-  s.map.SetRoot(100, 9);
-  EXPECT_EQ(s.dense.RootOf(100), 4u);
-  EXPECT_EQ(s.map.RootOf(100), 4u);
+  // SetRoot binding wins (emplace semantics).
+  EXPECT_EQ(s.RootOf(17), 17u);
+  s.SetRoot(100, 4);
+  s.SetRoot(100, 9);  // Must not overwrite.
+  EXPECT_EQ(s.RootOf(100), 4u);
+  EXPECT_EQ(s.RootOf(101), 101u);
 }
 
 TEST(SimStateParityTest, QueryStringInterningAndHashes) {
-  BackendPair s;
-  s.dense.SetQueryString(1, "alpha");
-  s.map.SetQueryString(1, "alpha");
-  s.dense.SetQueryString(2, "beta");
-  s.map.SetQueryString(2, "beta");
-  s.dense.SetQueryString(3, "alpha");  // Same text, distinct qid.
-  s.map.SetQueryString(3, "alpha");
-  s.dense.SetQueryString(1, "gamma");  // Emplace: must not overwrite.
-  s.map.SetQueryString(1, "gamma");
+  SimState s(8);
+  s.SetQueryString(1, "alpha");
+  s.SetQueryString(2, "beta");
+  s.SetQueryString(3, "alpha");  // Same text, distinct qid.
+  s.SetQueryString(1, "gamma");  // Emplace: must not overwrite.
 
-  for (std::uint64_t qid : {1ull, 2ull, 3ull}) {
-    const std::string* d = s.dense.QueryString(qid);
-    const std::string* m = s.map.QueryString(qid);
-    ASSERT_NE(d, nullptr);
-    ASSERT_NE(m, nullptr);
-    ASSERT_EQ(*d, *m);
-    std::uint64_t dh = 0, mh = 0;
-    ASSERT_TRUE(s.dense.QueryStringHash(qid, &dh));
-    ASSERT_TRUE(s.map.QueryStringHash(qid, &mh));
-    // The dense backend's precomputed hash equals hashing on demand.
-    ASSERT_EQ(dh, mh);
-    ASSERT_EQ(dh, std::hash<std::string>{}(*d));
+  const std::pair<std::uint64_t, const char*> expected[] = {
+      {1, "alpha"}, {2, "beta"}, {3, "alpha"}};
+  for (const auto& [qid, text] : expected) {
+    const std::string* got = s.QueryString(qid);
+    ASSERT_NE(got, nullptr);
+    ASSERT_EQ(*got, text);
+    std::uint64_t hash = 0;
+    ASSERT_TRUE(s.QueryStringHash(qid, &hash));
+    // The precomputed hash equals hashing on demand.
+    ASSERT_EQ(hash, std::hash<std::string>{}(text));
   }
-  EXPECT_EQ(*s.dense.QueryString(1), "alpha");
-  EXPECT_EQ(s.dense.QueryString(7), nullptr);
-  EXPECT_EQ(s.map.QueryString(7), nullptr);
+  EXPECT_EQ(s.QueryString(7), nullptr);
   std::uint64_t unused = 0;
-  EXPECT_FALSE(s.dense.QueryStringHash(7, &unused));
-  EXPECT_FALSE(s.map.QueryStringHash(7, &unused));
+  EXPECT_FALSE(s.QueryStringHash(7, &unused));
   // interned_strings counts qid -> string bindings, not distinct texts.
-  EXPECT_EQ(s.dense.interned_strings(), 3u);
-  EXPECT_EQ(s.map.interned_strings(), 3u);
+  EXPECT_EQ(s.interned_strings(), 3u);
 
   // ShareQueryString: retry qids borrow the root's string; sharing from
   // a string-less root is a no-op; an existing binding is kept.
-  s.dense.ShareQueryString(2, 10);
-  s.map.ShareQueryString(2, 10);
-  ASSERT_NE(s.dense.QueryString(10), nullptr);
-  EXPECT_EQ(*s.dense.QueryString(10), "beta");
-  EXPECT_EQ(*s.map.QueryString(10), "beta");
-  s.dense.ShareQueryString(999, 11);  // Root has no string.
-  s.map.ShareQueryString(999, 11);
-  EXPECT_EQ(s.dense.QueryString(11), nullptr);
-  EXPECT_EQ(s.map.QueryString(11), nullptr);
-  s.dense.ShareQueryString(1, 10);  // 10 already bound to "beta".
-  s.map.ShareQueryString(1, 10);
-  EXPECT_EQ(*s.dense.QueryString(10), "beta");
-  EXPECT_EQ(*s.map.QueryString(10), "beta");
-  EXPECT_EQ(s.dense.interned_strings(), s.map.interned_strings());
+  s.ShareQueryString(2, 10);
+  ASSERT_NE(s.QueryString(10), nullptr);
+  EXPECT_EQ(*s.QueryString(10), "beta");
+  s.ShareQueryString(999, 11);  // Root has no string.
+  EXPECT_EQ(s.QueryString(11), nullptr);
+  s.ShareQueryString(1, 10);  // 10 already bound to "beta".
+  EXPECT_EQ(*s.QueryString(10), "beta");
+  EXPECT_EQ(s.interned_strings(), 4u);
 }
 
 TEST(SimStateParityTest, ResultCacheEntries) {
-  BackendPair s;
-  EXPECT_EQ(s.dense.FindCacheEntry(3, 77), nullptr);
-  EXPECT_EQ(s.map.FindCacheEntry(3, 77), nullptr);
-  QueryCacheEntry& d = s.dense.CacheEntrySlot(3, 77);
-  QueryCacheEntry& m = s.map.CacheEntrySlot(3, 77);
-  EXPECT_EQ(d.expires, 0.0);  // Fresh entries value-initialized.
-  EXPECT_EQ(m.expires, 0.0);
-  d.expires = m.expires = 12.5;
-  d.results = m.results = 4.0;
-  d.owner = m.owner = 9;
-  ASSERT_NE(s.dense.FindCacheEntry(3, 77), nullptr);
-  ASSERT_NE(s.map.FindCacheEntry(3, 77), nullptr);
-  EXPECT_EQ(s.dense.FindCacheEntry(3, 77)->owner, 9u);
-  EXPECT_EQ(s.map.FindCacheEntry(3, 77)->owner, 9u);
+  SimState s(8);
+  EXPECT_EQ(s.FindCacheEntry(3, 77), nullptr);
+  QueryCacheEntry& entry = s.CacheEntrySlot(3, 77);
+  EXPECT_EQ(entry.expires, 0.0);  // Fresh entries value-initialized.
+  EXPECT_EQ(entry.owner, 0u);
+  entry.expires = 12.5;
+  entry.results = 4.0;
+  entry.owner = 9;
+  ASSERT_NE(s.FindCacheEntry(3, 77), nullptr);
+  EXPECT_EQ(s.FindCacheEntry(3, 77)->owner, 9u);
   // Same key in another cluster is independent.
-  EXPECT_EQ(s.dense.FindCacheEntry(4, 77), nullptr);
-  EXPECT_EQ(s.map.FindCacheEntry(4, 77), nullptr);
+  EXPECT_EQ(s.FindCacheEntry(4, 77), nullptr);
   // Slot access on an existing key returns the live entry.
-  EXPECT_EQ(s.dense.CacheEntrySlot(3, 77).results, 4.0);
-  EXPECT_EQ(s.map.CacheEntrySlot(3, 77).results, 4.0);
+  EXPECT_EQ(s.CacheEntrySlot(3, 77).results, 4.0);
+  EXPECT_EQ(s.CacheEntrySlot(3, 77).expires, 12.5);
 }
 
 TEST(SimStateTest, ScratchBytesTrackPopulation) {
-  BackendPair s;
+  SimState s(8);
+  const std::size_t empty_bytes = s.ApproxScratchBytes();
   Rng rng(21);
   for (std::uint64_t qid = 0; qid < 5000; ++qid) {
-    s.dense.Claim(qid);
-    s.map.Claim(qid);
-    s.dense.SetRoot(qid, qid);
-    s.map.SetRoot(qid, qid);
+    s.Claim(qid);
+    s.SetRoot(qid, qid);
     for (int c = 0; c < 3; ++c) {
       const std::size_t cluster = rng.NextBounded(8);
       const auto up = static_cast<std::uint32_t>(rng.NextBounded(40));
-      s.dense.MarkSeen(cluster, qid, up);
-      s.map.MarkSeen(cluster, qid, up);
+      s.MarkSeen(cluster, qid, up);
     }
   }
-  // Absolute bytes are layout-dependent; what must hold is that both
-  // estimates are positive and grew with the population. (Whether dense
-  // beats the maps is workload-dependent — the per-node figures for the
-  // real simulator workload are measured in bench/sim_scale.)
-  EXPECT_GT(s.dense.ApproxScratchBytes(), 100u * 1024u);
-  EXPECT_GT(s.map.ApproxScratchBytes(), 100u * 1024u);
+  // Absolute bytes are layout-dependent; what must hold is that the
+  // estimate grew with the population (the per-node figures for the
+  // real simulator workload are measured in bench/sim_scale).
+  EXPECT_GT(s.ApproxScratchBytes(), empty_bytes + 100u * 1024u);
 }
 
 TEST(SimStateDeathTest, DenseClaimRejectsReclaim) {
   // Root qids are claimed exactly once per submission; a double claim is
-  // a qid-allocation bug the dense backend traps.
-  SimState dense(SimStateBackend::kDense, 2);
-  dense.Claim(5);
-  EXPECT_DEATH(dense.Claim(5), "state_live_");
+  // a qid-allocation bug SimState traps.
+  SimState state(2);
+  state.Claim(5);
+  EXPECT_DEATH(state.Claim(5), "state_live_");
 }
 
 }  // namespace

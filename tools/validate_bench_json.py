@@ -257,6 +257,10 @@ def validate_capacity_mix(doc, err):
                     f"mixture '{mixture}'")
 
 
+# bench/sim_scale runs the legacy loop at every N up to this size.
+LEGACY_MAX_N = 100000
+
+
 def validate_sharded_rows(doc, err):
     """Sharded-row schema for the scale sweep.
 
@@ -264,7 +268,10 @@ def validate_sharded_rows(doc, err):
     sharded conservative-window discipline and must carry the full
     sharded surface: a speedup gauge paired with every events_per_sec
     gauge (and vice versa), the shard plan in config, the sequential
-    and sharded table rows per size, and the bit-identity verdict.
+    and sharded table rows per size, and the bit-identity verdict. At
+    every size up to LEGACY_MAX_N it must also carry the legacy
+    calendar+dense row, the fastest sequential engine the sharded rows
+    are read against.
     """
     gauges = doc.get("metrics", {}).get("gauges")
     if not isinstance(gauges, dict) or not any(
@@ -321,6 +328,9 @@ def validate_sharded_rows(doc, err):
             err(f"'sim_scale' table has no sequential disc row at N={size}")
         if not any(e.startswith("sharded(") for e in engines):
             err(f"'sim_scale' table has no sharded row at N={size}")
+        if int(size) <= LEGACY_MAX_N and "calendar+dense" not in engines:
+            err(f"'sim_scale' table has no legacy calendar+dense row at "
+                f"N={size}")
 
 
 def main(argv):
