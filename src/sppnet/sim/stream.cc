@@ -26,10 +26,10 @@ namespace {
 // Section tag of the driver's own checkpoint section ("strm").
 constexpr std::uint32_t kStreamTag = 0x6d727473u;
 
-/// Engine-internal instruments: included in snapshot exports, excluded
+/// Data-structure instruments: included in snapshot exports, excluded
 /// from every equivalence digest (the ProtocolMetricsJson contract —
-/// calendar statistics and backend footprints legitimately differ
-/// across engines, backends, and checkpoint restores).
+/// calendar statistics and state footprints legitimately restart with
+/// a restored simulator's fresh containers).
 bool EngineInternal(std::string_view name) {
   return name.starts_with("sim.queue.") || name.starts_with("sim.state.");
 }
@@ -269,8 +269,9 @@ std::uint64_t StreamDriver::Fingerprint() const {
   mixd(sim_options_.adaptive.policy.max_proc_hz);
   mixd(sim_options_.adaptive.policy.low_utilization);
   mixd(sim_options_.adaptive.policy.suggested_outdegree);
-  // Workload and instance shape (the engine and state backend are
-  // deliberately NOT mixed: checkpoints are portable across them).
+  // Workload and instance shape (the shard and thread counts are
+  // deliberately NOT mixed: sharded checkpoints are portable across
+  // them).
   mix(static_cast<std::uint64_t>(config_.ttl));
   mixd(config_.query_rate);
   mixd(config_.update_rate);
@@ -318,8 +319,8 @@ bool StreamDriver::Restore(std::span<const std::uint8_t> bytes) {
   snapshot_digest_ = digest;
   finished_ = false;
   // Rebase the delta baseline on the restored cumulative surface. The
-  // protocol counters restore bit-exactly; the engine-internal ones
-  // restart from the fresh engine's own statistics, and rebasing here
+  // protocol counters restore bit-exactly; the data-structure ones
+  // restart from the fresh containers' own statistics, and rebasing here
   // keeps their subsequent deltas internally consistent.
   MetricsRegistry scratch;
   sim_->PublishCumulativeMetrics(scratch);

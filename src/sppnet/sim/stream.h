@@ -45,7 +45,7 @@ struct StreamOptions {
 
 /// One windowed metric snapshot: the delta of every published counter
 /// over [window_start, window_end), plus the cumulative gauges at the
-/// window boundary. Counter deltas are name-ordered; engine-internal
+/// window boundary. Counter deltas are name-ordered; data-structure
 /// instruments (sim.queue.*, sim.state.*) are included in the export
 /// but excluded from the equivalence digest, mirroring the
 /// ProtocolMetricsJson contract.
@@ -59,8 +59,8 @@ struct StreamSnapshot {
   /// Name-ordered per-window counter increments.
   std::vector<std::pair<std::string, std::uint64_t>> counter_deltas;
   /// Name-ordered cumulative gauge values at window_end. Footprint
-  /// gauges (scratch bytes, bucket counts) are engine- and
-  /// toolchain-dependent; never digested.
+  /// gauges (scratch bytes, bucket counts) are toolchain-dependent and
+  /// restart with a restored simulator; never digested.
   std::vector<std::pair<std::string, double>> gauges;
 };
 
@@ -87,8 +87,8 @@ std::vector<TraceQuery> ParseQueryTrace(std::string_view text);
 /// digest and the final report are bit-identical to the batch Run()
 /// path for every protocol-relevant observable — restoring a checkpoint
 /// taken after window k and streaming on yields byte-identical
-/// snapshots k+1, k+2, ... across engines, state backends and
-/// parallelism (tests/sim/checkpoint_test.cc pins this).
+/// snapshots k+1, k+2, ... at every cut and trial parallelism
+/// (tests/sim/checkpoint_test.cc pins this).
 class StreamDriver {
  public:
   /// Builds and Start()s the underlying simulator. The instance,
@@ -127,16 +127,16 @@ class StreamDriver {
   /// Restores from a Checkpoint() buffer into this driver, replacing
   /// the current simulator with one resumed at the checkpointed window.
   /// The checkpoint must come from a scenario with the same protocol
-  /// fingerprint (instance shape, seed, plans, window grid); the engine
-  /// and state backend of the saving driver may differ from this one.
-  /// Returns false (driver unchanged) on any mismatch or corruption.
+  /// fingerprint (instance shape, seed, plans, window grid, discipline);
+  /// a sharded checkpoint restores under any shard/thread plan. Returns
+  /// false (driver unchanged) on any mismatch or corruption.
   bool Restore(std::span<const std::uint8_t> bytes);
 
   std::uint64_t windows_emitted() const { return windows_emitted_; }
   /// FNV-1a digest over every emitted snapshot's protocol-relevant
   /// content (window index/boundary, events delta, filtered counter
   /// deltas). The resume-equivalence tests compare this across
-  /// checkpoint cuts, engines and backends.
+  /// checkpoint cuts and shard plans.
   std::uint64_t snapshot_digest() const { return snapshot_digest_; }
   /// Simulation clock of the underlying simulator (last dispatch time).
   double Now() const;
