@@ -1,6 +1,7 @@
 #include "sppnet/sim/event_queue.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <utility>
 
@@ -26,16 +27,20 @@ constexpr std::uint64_t kRecalibratePops = 8192;
 // Gap observations required before the mean is trusted for a width.
 constexpr std::uint64_t kMinGapSamples = 64;
 
-// Width as a multiple of the mean inter-dequeue gap. With the staged
-// "today" run a day is sorted once and served in order, so wide days
-// are cheap (sorting is O(k log k)) while narrow days are not: every
-// empty day costs a probe when the scan hunts for the next populated
-// one. The simulator's gap distribution is extremely skewed — flood
-// waves contribute thousands of zero gaps, the Poisson clocks the long
-// tail — so a generous multiple of the mean still yields short days in
-// absolute terms.
+// Width as a multiple of the mean gap between calendar dequeues. With
+// the staged "today" run a day is ordered once (near-linear, see
+// OrderToday) and served in order, so wide days are cheap while narrow
+// days are not: every empty day costs a probe when the walk hunts for
+// the next populated one. The gap distribution is skewed — bursts of
+// jittered deliveries contribute many near-zero gaps, the Poisson
+// clocks the long tail — so a generous multiple of the mean still
+// yields short days in absolute terms.
 constexpr double kWidthPerGap = 256.0;
 constexpr double kMinWidth = 1e-12;
+
+// Longest sub-day slice OrderToday sorts by insertion; longer ones (many
+// equal or clamped times in one slice) take std::sort instead.
+constexpr std::size_t kInsertionSortMax = 16;
 constexpr double kMaxWidth = 1e12;
 
 // Functor (not a function pointer) so std::sort / std::lower_bound
@@ -103,6 +108,35 @@ void CalendarQueue::Schedule(SimEvent event) {
   Insert(event);
 }
 
+void CalendarQueue::ScheduleDelivery(SimEvent event) {
+  SPPNET_CHECK(std::isfinite(event.time) && event.time >= 0.0);
+  event.seq = next_seq_++;
+  if (lane_size_ > 0) {
+    const SimEvent& tail =
+        lane_[(lane_head_ + lane_size_ - 1) & (lane_.size() - 1)];
+    if (Earlier(KeyOf(event), KeyOf(tail))) {
+      ++lane_fallbacks_;
+      Insert(event);
+      return;
+    }
+  }
+  if (lane_size_ == lane_.size()) GrowLane();
+  lane_[(lane_head_ + lane_size_) & (lane_.size() - 1)] = event;
+  ++lane_size_;
+}
+
+void CalendarQueue::GrowLane() {
+  // The ring's capacity follows the peak number of deliveries in
+  // flight, which the workload bounds (one latency's worth of sends);
+  // it never grows with run length.
+  std::vector<SimEvent> grown(std::max<std::size_t>(2 * lane_.size(), 64));
+  for (std::size_t i = 0; i < lane_size_; ++i) {
+    grown[i] = lane_[(lane_head_ + i) & (lane_.size() - 1)];
+  }
+  lane_.swap(grown);
+  lane_head_ = 0;
+}
+
 void CalendarQueue::Insert(const SimEvent& event) {
   SPPNET_CHECK(std::isfinite(event.time) && event.time >= 0.0);
   const std::uint64_t day = DayOf(event.time);
@@ -127,12 +161,10 @@ void CalendarQueue::Insert(const SimEvent& event) {
     // one becomes the new cached minimum in place. The comparison runs
     // against the cached (time, seq) copy — touching the minimum's
     // bucket here would cost a cache miss per Schedule.
-    if (event.time < min_time_ ||
-        (event.time == min_time_ && event.seq < min_seq_)) {
+    if (Earlier(KeyOf(event), min_key_)) {
       min_bucket_ = day & (buckets_.size() - 1);
       min_slot_ = bucket.size() - 1;
-      min_time_ = event.time;
-      min_seq_ = event.seq;
+      min_key_ = KeyOf(event);
       cur_day_ = std::min(cur_day_, day);
     }
   } else {
@@ -151,28 +183,58 @@ void CalendarQueue::Insert(const SimEvent& event) {
 }
 
 bool CalendarQueue::TodayWins() const {
-  const bool today_has = today_active_ && today_pos_ < today_.size();
-  if (!today_has) return false;
-  if (BucketSideSize() == 0) return true;
+  // Days are monotone in time, so only a bucket-side event scheduled
+  // into a day before the staged one (a rewind, which lowers cur_day_)
+  // can beat the run; no bucket slot carries today_day_ itself.
+  if (cur_day_ >= today_day_ || BucketSideSize() == 0) return true;
   if (!min_valid_) FindMin();
-  const SimEvent& front = today_[today_pos_];
-  if (front.time != min_time_) return front.time < min_time_;
-  return front.seq < min_seq_;
+  return Earlier(KeyOf(today_[today_pos_]), min_key_);
+}
+
+CalendarQueue::Key CalendarQueue::CalendarFront() const {
+  if (!TodayHasEvents()) StageNext();
+  return TodayWins() ? KeyOf(today_[today_pos_]) : min_key_;
 }
 
 double CalendarQueue::NextTime() const {
-  SPPNET_CHECK(size_ > 0);
-  if (TodayWins()) return today_[today_pos_].time;
-  if (!min_valid_) FindMin();
-  return min_time_;
+  SPPNET_CHECK(!empty());
+  if (size_ == 0) return lane_[lane_head_].time;
+  const Key calendar = CalendarFront();
+  if (lane_size_ > 0 && Earlier(KeyOf(lane_[lane_head_]), calendar)) {
+    return lane_[lane_head_].time;
+  }
+  return calendar.time;
 }
 
-void CalendarQueue::StageDay(std::uint64_t day) {
+void CalendarQueue::StageNext() const {
+  // Walk the calendar one day at a time from cur_day_, staging each;
+  // the first day holding any event holds the minimum (events of later
+  // days have strictly later times). A bucket is shared by all days
+  // congruent modulo the bucket count, so an empty day may still cost
+  // a pass over other days' slots.
+  const std::size_t mask = buckets_.size() - 1;
+  for (std::size_t step = 0; step < buckets_.size(); ++step) {
+    ++day_steps_;
+    const std::uint64_t day = cur_day_ + step;
+    if (buckets_[day & mask].empty()) continue;
+    StageDay(day);
+    if (today_active_) {
+      cur_day_ = day;
+      return;
+    }
+  }
+  // The next event is more than a whole year ahead (sparse region):
+  // one direct scan instead of walking day by day.
+  GlobalScan();
+  StageDay(DayOf(min_key_.time));
+  cur_day_ = today_day_;
+}
+
+void CalendarQueue::StageDay(std::uint64_t day) const {
   auto& bucket = buckets_[day & (buckets_.size() - 1)];
   today_.clear();
   today_pos_ = 0;
   today_day_ = day;
-  today_active_ = true;
   // One compacting pass: day slots out, the rest keeps its bucket. The
   // relative order of survivors changes freely — selection is by
   // (time, seq), never by position.
@@ -184,29 +246,95 @@ void CalendarQueue::StageDay(std::uint64_t day) {
       bucket[kept++] = bucket[i];
     }
   }
+  slot_visits_ += kept;
   bucket.resize(kept);
-  // A flood wave parks its whole delivery pile on one day, so the
-  // bucket that hosted it keeps a triple-digit capacity forever; on an
-  // unbounded run every bucket eventually hosts one and the calendar's
-  // footprint grows without bound while the live event count stays
-  // flat (bench/sustained_throughput holds RSS flat over 1e8 events).
-  // Trim the ratchet back once it overshoots the survivors 8x; the
-  // occasional re-growth is a few geometric push_back reallocations
-  // per wave, invisible next to the sort below.
+  // A burst of events parked on one day leaves its bucket with a large
+  // capacity; on an unbounded run every bucket eventually hosts one
+  // and the calendar's footprint grows without bound while the live
+  // event count stays flat (bench/sustained_throughput holds RSS flat
+  // over 1e8 events). Trim the ratchet back once it overshoots the
+  // survivors 8x; the occasional re-growth is a few geometric
+  // push_back reallocations, invisible next to the staging pass.
   if (bucket.capacity() > std::max<std::size_t>(8 * kept, 64)) {
     std::vector<SimEvent>(bucket.begin(), bucket.end()).swap(bucket);
   }
-  // Flood waves schedule their deliveries in dispatch order at a
-  // constant latency, so a staged day is usually already in (time,
-  // seq) order — the linear check dodges the sort for the common case.
-  if (!std::is_sorted(today_.begin(), today_.end(), EarlierCmp{})) {
-    std::sort(today_.begin(), today_.end(), EarlierCmp{});
-  }
+  today_active_ = !today_.empty();
+  OrderToday();
   min_valid_ = false;
 }
 
+void CalendarQueue::OrderToday() const {
+  // A day whose events were scheduled in (time, seq) order needs no
+  // work; the check stops at the first inversion otherwise.
+  if (std::is_sorted(today_.begin(), today_.end(), EarlierCmp{})) return;
+  // Counting pass: key each event by its slice of the day, one of
+  // `slices` equal sub-days, from the same product DayOf uses —
+  // time * inv_width_ minus the day is monotone in time, so slice
+  // order never contradicts (time, seq) order. Far-future events
+  // clamped into the last day land in the last slice.
+  const std::size_t n = today_.size();
+  const std::size_t slices = std::bit_ceil(n);
+  const double scale = static_cast<double>(slices);
+  const double base = static_cast<double>(today_day_);
+  const auto last = static_cast<std::uint32_t>(slices - 1);
+  stage_keys_.resize(n);
+  stage_counts_.assign(slices + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double pos = (today_[i].time * inv_width_ - base) * scale;
+    const std::uint32_t slice =
+        pos < scale ? static_cast<std::uint32_t>(pos) : last;
+    stage_keys_[i] = slice;
+    ++stage_counts_[slice + 1];
+  }
+  for (std::size_t k = 1; k <= slices; ++k) {
+    stage_counts_[k] += stage_counts_[k - 1];
+  }
+  stage_scratch_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    stage_scratch_[stage_counts_[stage_keys_[i]]++] = today_[i];
+  }
+  today_.swap(stage_scratch_);
+  // stage_counts_[k] now ends slice k. With about one event per slice
+  // the runs are short, so insertion sort orders each in near-linear
+  // time; a long run (a pile of equal or clamped times) gets a
+  // comparison sort of that run alone.
+  std::size_t begin = 0;
+  for (std::size_t k = 0; k < slices; ++k) {
+    const std::size_t end = stage_counts_[k];
+    SimEvent* const first = today_.data() + begin;
+    SimEvent* const stop = today_.data() + end;
+    if (end - begin > kInsertionSortMax) {
+      std::sort(first, stop, EarlierCmp{});
+    } else {
+      for (SimEvent* it = first + 1; it < stop; ++it) {
+        const SimEvent moving = *it;
+        SimEvent* hole = it;
+        while (hole > first && EarlierEvent(moving, hole[-1])) {
+          *hole = hole[-1];
+          --hole;
+        }
+        *hole = moving;
+      }
+    }
+    begin = end;
+  }
+}
+
 SimEvent CalendarQueue::Pop() {
-  SPPNET_CHECK(size_ > 0);
+  SPPNET_CHECK(!empty());
+  if (lane_size_ > 0 &&
+      (size_ == 0 || Earlier(KeyOf(lane_[lane_head_]), CalendarFront()))) {
+    const SimEvent e = lane_[lane_head_];
+    lane_head_ = (lane_head_ + 1) & (lane_.size() - 1);
+    --lane_size_;
+    ++lane_pops_;
+    return e;
+  }
+  return PopCalendar();
+}
+
+SimEvent CalendarQueue::PopCalendar() {
+  if (!TodayHasEvents()) StageNext();
   SimEvent e;
   if (TodayWins()) {
     e = today_[today_pos_++];
@@ -214,38 +342,24 @@ SimEvent CalendarQueue::Pop() {
       today_.clear();
       today_pos_ = 0;
       today_active_ = false;
-      // No bucket-side event of an earlier day can remain (it would
-      // have won every pop until now), and this day's events were all
-      // staged — the next scan starts at this day harmlessly.
-      cur_day_ = std::max(cur_day_, today_day_);
+      // No bucket-side event of this day or an earlier one can remain
+      // (it would have won every pop until now), so the next walk
+      // starts at the following day.
+      cur_day_ = std::max(cur_day_, today_day_ + 1);
     }
-    --size_;
-  } else if (today_active_ && today_pos_ < today_.size()) {
+  } else {
     // Rare rewind: a bucket-side event scheduled into an earlier day
-    // than the active staged run. Pop that single slot directly; the
-    // staged remainder stays put.
-    if (!min_valid_) FindMin();
+    // than the staged run (TodayWins cached its position). Pop that
+    // single slot directly; the staged remainder stays put.
     auto& bucket = buckets_[min_bucket_];
     e = bucket[min_slot_];
     cur_day_ = DayOf(e.time);
     bucket[min_slot_] = bucket.back();  // Swap-erase: order is by
     bucket.pop_back();                  // (time, seq), not position.
-    --size_;
     min_valid_ = false;
-  } else {
-    if (!min_valid_) FindMin();
-    // The bucket-side minimum's whole day becomes the staged run; the
-    // minimum is its sorted front.
-    StageDay(DayOf(buckets_[min_bucket_][min_slot_].time));
-    cur_day_ = today_day_;
-    e = today_[today_pos_++];
-    if (today_pos_ == today_.size()) {
-      today_.clear();
-      today_pos_ = 0;
-      today_active_ = false;
-    }
-    --size_;
   }
+  --size_;
+  ++calendar_pops_;
 
   if (have_last_pop_) {
     gap_sum_ += e.time - last_pop_time_;
@@ -261,7 +375,7 @@ SimEvent CalendarQueue::Pop() {
                  std::max<std::uint64_t>(kRecalibratePops, 4 * size_) &&
              gap_count_ >= kMinGapSamples) {
     // Same bucket count, recomputed width — only when the calibration
-    // has drifted past 3x in either direction.
+    // has drifted past 8x in either direction.
     const double ideal = std::clamp(
         kWidthPerGap * (gap_sum_ / static_cast<double>(gap_count_)),
         kMinWidth, kMaxWidth);
@@ -303,15 +417,17 @@ void CalendarQueue::FindMin() const {
     if (best != bucket.size()) {
       min_bucket_ = day & mask;
       min_slot_ = best;
-      min_time_ = bucket[best].time;
-      min_seq_ = bucket[best].seq;
+      min_key_ = KeyOf(bucket[best]);
       min_valid_ = true;
       cur_day_ = day;
       return;
     }
   }
-  // The next event is more than a whole year ahead (sparse region):
-  // direct scan over every slot instead of walking day by day.
+  GlobalScan();
+  cur_day_ = DayOf(min_key_.time);
+}
+
+void CalendarQueue::GlobalScan() const {
   ++global_scans_;
   std::size_t best_bucket = buckets_.size();
   std::size_t best_slot = 0;
@@ -327,10 +443,8 @@ void CalendarQueue::FindMin() const {
   SPPNET_CHECK(best_bucket != buckets_.size());
   min_bucket_ = best_bucket;
   min_slot_ = best_slot;
-  min_time_ = buckets_[best_bucket][best_slot].time;
-  min_seq_ = buckets_[best_bucket][best_slot].seq;
+  min_key_ = KeyOf(buckets_[best_bucket][best_slot]);
   min_valid_ = true;
-  cur_day_ = DayOf(min_time_);
 }
 
 void CalendarQueue::Resize(std::size_t new_buckets) {
@@ -379,7 +493,7 @@ std::vector<SimEvent> CalendarQueue::SnapshotEvents() const {
 
 void CalendarQueue::RestorePending(const std::vector<SimEvent>& events,
                                    std::uint64_t next_seq) {
-  SPPNET_CHECK(size_ == 0);
+  SPPNET_CHECK(empty());
   for (const SimEvent& event : events) {
     SPPNET_CHECK(event.seq < next_seq);
     Insert(event);
@@ -389,7 +503,11 @@ void CalendarQueue::RestorePending(const std::vector<SimEvent>& events,
 
 std::size_t CalendarQueue::ApproxMemoryBytes() const {
   std::size_t bytes = buckets_.capacity() * sizeof(buckets_[0]) +
-                      today_.capacity() * sizeof(SimEvent);
+                      (today_.capacity() + stage_scratch_.capacity() +
+                       lane_.capacity()) *
+                          sizeof(SimEvent) +
+                      (stage_keys_.capacity() + stage_counts_.capacity()) *
+                          sizeof(std::uint32_t);
   for (const auto& bucket : buckets_) {
     bytes += bucket.capacity() * sizeof(SimEvent);
   }

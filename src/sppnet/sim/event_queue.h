@@ -67,38 +67,59 @@ class EventQueue {
 
 /// Pending-event structure driving the simulator main loop, its shard
 /// queues and its control queue: a deterministic calendar queue
-/// (R. Brown, "Calendar Queues", CACM 1988) — a power-of-two array of unsorted buckets, each holding the
-/// events whose time falls in one `width`-second slice ("day") of the
-/// calendar; a day maps to bucket `day & (nbuckets-1)`, so the array
-/// wraps around once per `nbuckets * width` seconds ("year").
+/// (R. Brown, "Calendar Queues", CACM 1988) beside a FIFO delivery
+/// lane.
 ///
-/// Delivery order is (time, seq). When the front day of the calendar
-/// is reached, its events are extracted from the bucket in one pass
-/// and sorted by (time, seq) into a staged "today" run served in
-/// order — one O(k log k) sort per k-event day instead of a bucket
-/// rescan per pop. The simulator's flood waves make this essential:
-/// one wave schedules hundreds of deliveries with identical
-/// timestamps (one day), and per-pop rescans would be O(k^2) per
-/// wave. Selection is by (time, seq) everywhere — never by storage
-/// position — so the swap-erase removal, the staging extraction and
-/// the resize-time redistribution below can never affect order, and
-/// the pop sequence is bit-identical to the binary heap's by
-/// construction. The bucket count adapts to the live event count and
-/// the bucket width to the observed mean inter-dequeue gap; both
-/// inputs are functions of the popped event sequence alone, so the
-/// resize schedule (and everything downstream) is deterministic too.
+/// The calendar is a power-of-two array of unsorted buckets, each
+/// holding the events whose time falls in one `width`-second slice
+/// ("day"); a day maps to bucket `day & (nbuckets-1)`, so the array
+/// wraps around once per `nbuckets * width` seconds ("year"). When the
+/// front day is reached, its events are extracted from the bucket in
+/// one pass and ordered by (time, seq) into a staged "today" run served
+/// in order. The ordering is a counting pass over sub-day slices
+/// followed by an insertion sort of each (short) slice, never a
+/// comparison sort of the whole day.
 ///
-/// Complexity: O(1) amortized per operation while the event population
-/// is reasonably stationary (the simulator's is: per-user Poisson
-/// clocks dominate), degrading gracefully to a global scan when the
-/// calendar empties out far from the next event.
+/// The lane is a ring buffer of message deliveries
+/// (ScheduleDelivery). A delivery whose (time, seq) is not earlier
+/// than the lane's tail is appended there; any other goes to the
+/// calendar. Constant-latency sends — the bulk of a flood's events —
+/// are therefore sorted by construction and never touch a bucket,
+/// while jittered ones fall back to the calendar. Pop and NextTime
+/// take the smaller (time, seq) of the lane front and the calendar
+/// minimum.
+///
+/// Delivery order is (time, seq) everywhere — never storage position —
+/// so the lane split, the swap-erase removal, the staging extraction
+/// and the resize-time redistribution can never affect order, and the
+/// pop sequence is bit-identical to the binary heap's by construction.
+/// The bucket count adapts to the calendar's live event count and the
+/// bucket width to the mean gap between its dequeues; both inputs are
+/// functions of the schedule and pop sequence alone, so the resize
+/// schedule (and everything downstream) is deterministic too.
+///
+/// Complexity: O(1) per lane operation, and O(1) amortized per calendar
+/// operation while the calendar population is reasonably stationary
+/// (the simulator's is: per-user Poisson clocks dominate), degrading
+/// gracefully to a global scan when the calendar empties out far from
+/// the next event.
 class CalendarQueue {
  public:
   CalendarQueue();
 
-  /// Schedules `event` at event.time; assigns the tie-breaking sequence
-  /// number. Times must be finite and >= 0 (checked).
+  /// Schedules `event` at event.time on the calendar; assigns the
+  /// tie-breaking sequence number. Times must be finite and >= 0
+  /// (checked).
   void Schedule(SimEvent event);
+
+  /// Schedule for a message delivery: same sequence numbering and
+  /// checks, but the event joins the FIFO lane when it does not sort
+  /// before the lane's tail (the calendar takes it otherwise). Meant
+  /// for sends whose latency is (nearly) constant, so that consecutive
+  /// calls arrive in time order; timers with spread-out delays belong
+  /// on Schedule, where they cannot push the lane's tail ahead of the
+  /// deliveries behind them.
+  void ScheduleDelivery(SimEvent event);
 
   /// Schedules an event whose tie-breaking key the CALLER already
   /// assigned (event.seq is taken verbatim; the internal counter is
@@ -109,8 +130,8 @@ class CalendarQueue {
   /// caller's responsibility to keep collision-free.
   void SchedulePreKeyed(const SimEvent& event) { Insert(event); }
 
-  bool empty() const { return size_ == 0; }
-  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0 && lane_size_ == 0; }
+  std::size_t size() const { return size_ + lane_size_; }
 
   /// Time of the earliest pending event. Aborts when empty.
   double NextTime() const;
@@ -119,15 +140,16 @@ class CalendarQueue {
   SimEvent Pop();
 
   /// Every pending event in (time, seq) order; the queue is unchanged
-  /// (a scratch copy of the calendar is drained, so the scan counters
-  /// of this queue are untouched too).
+  /// (a scratch copy is drained, so the counters of this queue are
+  /// untouched too).
   std::vector<SimEvent> SnapshotEvents() const;
   /// Re-inserts checkpointed events preserving their original sequence
   /// numbers and resumes the sequence counter at `next_seq`. The queue
-  /// must be empty (checked). Width calibration and scan counters start
-  /// fresh: they are engine-internal and excluded from the determinism
-  /// surface (see sim.queue.* docs), while delivery order — (time, seq)
-  /// selection — is exactly preserved.
+  /// must be empty (checked). Restored events all go to the calendar;
+  /// the lane refills from the next delivery on. Width calibration and
+  /// scan counters start fresh: they are engine-internal and excluded
+  /// from the determinism surface (see sim.queue.* docs), while
+  /// delivery order — (time, seq) selection — is exactly preserved.
   void RestorePending(const std::vector<SimEvent>& events,
                       std::uint64_t next_seq);
   std::uint64_t next_seq() const { return next_seq_; }
@@ -138,15 +160,35 @@ class CalendarQueue {
   std::uint64_t resizes() const { return resizes_; }
   std::size_t num_buckets() const { return buckets_.size(); }
   double bucket_width_seconds() const { return width_; }
-  /// Scan-effort counters (deterministic): empty-day probes, slot
-  /// visits during day scans, and whole-calendar fallback scans.
+  /// Scan-effort counters (deterministic): empty-day probes, bucket
+  /// slots examined without being staged (other days' events sharing a
+  /// scanned bucket, and min-search visits), and whole-calendar
+  /// fallback scans.
   std::uint64_t day_steps() const { return day_steps_; }
   std::uint64_t slot_visits() const { return slot_visits_; }
   std::uint64_t global_scans() const { return global_scans_; }
-  /// Approximate resident bytes of the bucket array (capacity-based).
+  /// Pops served by the lane and by the calendar (they sum to every Pop
+  /// since construction or RestorePending), and ScheduleDelivery calls
+  /// that sorted before the lane's tail and went to the calendar.
+  std::uint64_t lane_pops() const { return lane_pops_; }
+  std::uint64_t calendar_pops() const { return calendar_pops_; }
+  std::uint64_t lane_fallbacks() const { return lane_fallbacks_; }
+  /// Approximate resident bytes of the bucket array, the staged run,
+  /// its ordering scratch and the lane (capacity-based).
   std::size_t ApproxMemoryBytes() const;
 
  private:
+  /// The ordering key of an event.
+  struct Key {
+    double time;
+    std::uint64_t seq;
+  };
+  static bool Earlier(const Key& lhs, const Key& rhs) {
+    if (lhs.time != rhs.time) return lhs.time < rhs.time;
+    return lhs.seq < rhs.seq;
+  }
+  static Key KeyOf(const SimEvent& e) { return {e.time, e.seq}; }
+
   std::uint64_t DayOf(double time) const {
     // Multiplication by the cached reciprocal, not division — this
     // runs once per Schedule and once per scanned slot. Any monotone
@@ -157,30 +199,52 @@ class CalendarQueue {
     // cast; order among them is still resolved by (time, seq) when
     // that day is scanned.
     const double day = time * inv_width_;
-    return day >= 9.0e18 ? static_cast<std::uint64_t>(9.0e18)
-                         : static_cast<std::uint64_t>(day);
+    return day >= kLastDay ? static_cast<std::uint64_t>(kLastDay)
+                           : static_cast<std::uint64_t>(day);
+  }
+  bool TodayHasEvents() const {
+    return today_active_ && today_pos_ < today_.size();
   }
   std::size_t BucketSideSize() const {
     return size_ - (today_.size() - today_pos_);
   }
+  /// The calendar's earliest (time, seq), staging its front day first
+  /// when no staged run is left. Requires size_ > 0.
+  Key CalendarFront() const;
+  /// True when the staged run's front beats every bucket-side event.
+  /// Requires a staged run with events left.
+  bool TodayWins() const;
+  /// Stages the earliest populated day: walks the days from cur_day_,
+  /// falling back to a global scan after a whole year of empty days.
+  /// Requires BucketSideSize() > 0 and no staged run left.
+  void StageNext() const;
   /// Locates the earliest (time, seq) bucket-side slot and caches its
   /// position; advances cur_day_ to that event's day. Requires
-  /// BucketSideSize() > 0. Never touches the staged day.
+  /// BucketSideSize() > 0. Never touches the staged day. Only needed
+  /// when an event was scheduled into a day before the staged one.
   void FindMin() const;
-  /// True when the staged run's front beats the bucket-side minimum
-  /// (resolving min_valid_ via FindMin as needed). Requires size_ > 0.
-  bool TodayWins() const;
-  /// Extracts every slot of `day` from its bucket, sorts them by
-  /// (time, seq) and makes them the staged run.
-  void StageDay(std::uint64_t day);
+  /// Walks every bucket for the earliest (time, seq) slot and caches it
+  /// (the sparse-calendar fallback of StageNext and FindMin).
+  void GlobalScan() const;
+  /// Extracts every slot of `day` from its bucket and makes them the
+  /// staged run, ordered by (time, seq).
+  void StageDay(std::uint64_t day) const;
+  /// Orders the freshly extracted staged run by (time, seq).
+  void OrderToday() const;
+  /// Removes and returns the calendar's earliest event.
+  SimEvent PopCalendar();
   /// Doubles / halves the bucket array and re-derives the bucket width
   /// from the mean inter-dequeue gap observed since the last resize.
   /// Flushes the staged run back into the buckets (day values change
   /// with the width).
   void Resize(std::size_t new_buckets);
   /// Schedule minus the sequence-number assignment: places an event
-  /// whose seq is already set (restore path shares it with Schedule).
+  /// whose seq is already set on the calendar (restore path shares it
+  /// with Schedule).
   void Insert(const SimEvent& event);
+  void GrowLane();
+
+  static constexpr double kLastDay = 9.0e18;
 
   /// A bucket holds bare events; a slot's day is re-derived on scan via
   /// DayOf (every resident slot was inserted under the current width,
@@ -188,32 +252,47 @@ class CalendarQueue {
   mutable std::vector<std::vector<SimEvent>> buckets_;
   double width_;
   double inv_width_;  ///< Always 1.0 / width_.
+  /// Calendar-side events (buckets plus the staged run); the lane
+  /// counts apart in lane_size_.
   std::size_t size_ = 0;
   std::uint64_t next_seq_ = 0;
-  /// The day the next bucket-side scan starts from (only days >=
-  /// cur_day_ can hold the bucket-side minimum: pops advance it, and a
-  /// Schedule into an earlier day rewinds it).
+  /// Lower bound on the day of every bucket-side event: pops and
+  /// staging advance it, and a Schedule into an earlier day rewinds it.
+  /// While a run is staged, cur_day_ >= today_day_ means no bucket-side
+  /// event can beat the run.
   mutable std::uint64_t cur_day_ = 0;
 
   // Staged front day: its events live here (removed from the buckets),
-  // sorted ascending by (time, seq), served from today_pos_.
-  std::vector<SimEvent> today_;
-  std::size_t today_pos_ = 0;
-  std::uint64_t today_day_ = 0;
-  bool today_active_ = false;
+  // sorted ascending by (time, seq), served from today_pos_. Staging
+  // happens on demand from the const peeks, hence mutable.
+  mutable std::vector<SimEvent> today_;
+  mutable std::size_t today_pos_ = 0;
+  mutable std::uint64_t today_day_ = 0;
+  mutable bool today_active_ = false;
+  // OrderToday scratch: per-event sub-day slice, slice boundaries, and
+  // the second buffer of the counting pass.
+  mutable std::vector<std::uint32_t> stage_keys_;
+  mutable std::vector<std::uint32_t> stage_counts_;
+  mutable std::vector<SimEvent> stage_scratch_;
 
   // Cached bucket-side minimum (valid between FindMin and the next
   // bucket-side mutation): location, plus a (time, seq) copy so the
-  // Schedule / TodayWins hot paths compare against it without loading
+  // Schedule and TodayWins paths compare against it without loading
   // the bucket (a near-guaranteed cache miss).
   mutable bool min_valid_ = false;
   mutable std::size_t min_bucket_ = 0;
   mutable std::size_t min_slot_ = 0;
-  mutable double min_time_ = 0.0;
-  mutable std::uint64_t min_seq_ = 0;
+  mutable Key min_key_{0.0, 0};
 
-  // Width adaptation: mean gap between consecutively popped event times
-  // since the last resize.
+  // The FIFO lane: a ring buffer whose capacity is zero or a power of
+  // two, holding lane_size_ events from lane_head_ on, in (time, seq)
+  // order by construction.
+  std::vector<SimEvent> lane_;
+  std::size_t lane_head_ = 0;
+  std::size_t lane_size_ = 0;
+
+  // Width adaptation: mean gap between consecutively popped calendar
+  // event times since the last resize.
   double last_pop_time_ = 0.0;
   bool have_last_pop_ = false;
   double gap_sum_ = 0.0;
@@ -224,6 +303,9 @@ class CalendarQueue {
   mutable std::uint64_t day_steps_ = 0;
   mutable std::uint64_t slot_visits_ = 0;
   mutable std::uint64_t global_scans_ = 0;
+  std::uint64_t lane_pops_ = 0;
+  std::uint64_t calendar_pops_ = 0;
+  std::uint64_t lane_fallbacks_ = 0;
 };
 
 }  // namespace sppnet

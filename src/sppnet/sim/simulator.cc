@@ -1039,17 +1039,31 @@ class Simulator::Impl {
   }
   void ScheduleIn(double delay, std::uint32_t kind, std::uint32_t node,
                   std::uint64_t a = 0, std::uint64_t b = 0) {
+    Enqueue(MakeEvent(delay, kind, node, a, b), /*delivery=*/false);
+  }
+  SimEvent MakeEvent(double delay, std::uint32_t kind, std::uint32_t node,
+                     std::uint64_t a, std::uint64_t b) const {
     SimEvent e;
     e.time = lane().now + delay;
     e.kind = kind;
     e.node = node;
     e.a = a;
     e.b = b;
+    return e;
+  }
+  /// Hands `e` to the active discipline. On the legacy loop a message
+  /// delivery goes through the queue's FIFO lane, where constant-latency
+  /// sends stay sorted by construction; timers use the calendar.
+  void Enqueue(const SimEvent& e, bool delivery) {
     if (disc_) {
       DiscSchedule(e);
       return;
     }
-    queue_.Schedule(e);
+    if (delivery) {
+      queue_.ScheduleDelivery(e);
+    } else {
+      queue_.Schedule(e);
+    }
     ++lane().events_scheduled;
     if (queue_.size() > queue_depth_hwm_) queue_depth_hwm_ = queue_.size();
   }
@@ -1141,7 +1155,7 @@ class Simulator::Impl {
       }
       delay += injector_.DeliveryJitter(FaultRng());
     }
-    ScheduleIn(delay, kind, node, a, b);
+    Enqueue(MakeEvent(delay, kind, node, a, b), /*delivery=*/true);
   }
   // The adapt_* window accumulators feed the next decision round's
   // measured loads; they accrue during warmup too — the adaptation
@@ -2362,19 +2376,9 @@ class Simulator::Impl {
       }
       delay += injector_.DeliveryJitter(FaultRng());
     }
-    SimEvent e;
-    e.time = lane().now + delay;
-    e.kind = kJoinArrive;
-    e.node = target;
-    e.a = owner;
+    SimEvent e = MakeEvent(delay, kJoinArrive, target, owner, 0);
     e.x = files;
-    if (disc_) {
-      DiscSchedule(e);
-      return;
-    }
-    queue_.Schedule(e);
-    ++lane().events_scheduled;
-    if (queue_.size() > queue_depth_hwm_) queue_depth_hwm_ = queue_.size();
+    Enqueue(e, /*delivery=*/true);
   }
 
   void OnJoinSubmit(std::uint32_t user) {
@@ -3341,6 +3345,10 @@ class Simulator::Impl {
     m.GetCounter("sim.queue.day_steps").Increment(queue_.day_steps());
     m.GetCounter("sim.queue.slot_visits").Increment(queue_.slot_visits());
     m.GetCounter("sim.queue.global_scans").Increment(queue_.global_scans());
+    m.GetCounter("sim.queue.lane_pops").Increment(queue_.lane_pops());
+    m.GetCounter("sim.queue.calendar_pops").Increment(queue_.calendar_pops());
+    m.GetCounter("sim.queue.lane_fallbacks")
+        .Increment(queue_.lane_fallbacks());
     m.GetGauge("sim.queue.buckets")
         .SetMax(static_cast<double>(queue_.num_buckets()));
     m.GetGauge("sim.queue.scratch_bytes")

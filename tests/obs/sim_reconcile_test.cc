@@ -102,6 +102,13 @@ TEST(SimReconcileTest, ReliabilityRunCountersMatchReport) {
             static_cast<double>(report.queue_depth_hwm));
   EXPECT_LE(report.events_dispatched, report.events_scheduled);
   EXPECT_LE(report.queue_depth_hwm, report.events_scheduled);
+  // Every dispatched event left the queue through exactly one of its
+  // two structures; constant-latency deliveries use the lane.
+  EXPECT_GT(m.CounterValue("sim.queue.lane_pops"), 0u);
+  EXPECT_EQ(m.CounterValue("sim.queue.lane_pops") +
+                m.CounterValue("sim.queue.calendar_pops"),
+            report.events_dispatched);
+  EXPECT_EQ(m.CounterValue("sim.queue.lane_fallbacks"), 0u);
 
   // Per-query state instruments observed real protocol activity.
   EXPECT_GT(m.CounterValue("sim.state.duplicate_entries"), 0u);
@@ -170,6 +177,13 @@ TEST(SimReconcileTest, FaultRunCountersMatchReport) {
             report.partner_failures);
   EXPECT_EQ(m.CounterValue("sim.churn.partner_recoveries"),
             report.partner_recoveries);
+  // Jittered deliveries that sort before the lane's tail fall back to
+  // the calendar; the pop split still covers every dispatch.
+  EXPECT_GT(m.CounterValue("sim.queue.lane_pops"), 0u);
+  EXPECT_GT(m.CounterValue("sim.queue.lane_fallbacks"), 0u);
+  EXPECT_EQ(m.CounterValue("sim.queue.lane_pops") +
+                m.CounterValue("sim.queue.calendar_pops"),
+            report.events_dispatched);
 
   // The recovery-latency histogram observes completed recovery
   // episodes; its mean is the report's summary statistic.

@@ -1,5 +1,6 @@
 #include "sppnet/sim/event_queue.h"
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -500,6 +501,181 @@ TEST(CalendarQueueTest, StationaryPopulationRecalibratesWidth) {
   }
   EXPECT_NE(q.bucket_width_seconds(), initial_width);
   EXPECT_GT(q.bucket_width_seconds(), 1.0);  // Tracked the ~50 s gaps.
+}
+
+// --- The delivery lane -------------------------------------------------
+//
+// ScheduleDelivery appends to the FIFO lane when the event does not sort
+// before the lane's tail and falls back to the calendar otherwise; Pop
+// merges the two by (time, seq). Each test drains a lane-enabled
+// CalendarQueue beside the heap oracle (which takes every event through
+// plain Schedule), event for event.
+
+/// A CalendarQueue and the heap oracle fed identical schedules.
+struct LaneHarness {
+  CalendarQueue calendar;
+  EventQueue heap;
+  std::uint32_t next_node = 0;
+  std::uint64_t pops = 0;
+
+  void Deliver(double time) {
+    SimEvent e;
+    e.time = time;
+    e.node = next_node++;
+    calendar.ScheduleDelivery(e);
+    heap.Schedule(e);
+  }
+  void Timer(double time) {
+    SimEvent e;
+    e.time = time;
+    e.node = next_node++;
+    calendar.Schedule(e);
+    heap.Schedule(e);
+  }
+  /// Pops one event from each and asserts they match; returns its time.
+  double PopBoth() {
+    EXPECT_EQ(calendar.size(), heap.size());
+    EXPECT_EQ(calendar.NextTime(), heap.NextTime());
+    const SimEvent a = calendar.Pop();
+    const SimEvent b = heap.Pop();
+    EXPECT_EQ(a.time, b.time);
+    EXPECT_EQ(a.seq, b.seq);
+    EXPECT_EQ(a.node, b.node);
+    ++pops;
+    return a.time;
+  }
+  void DrainBoth() {
+    while (!calendar.empty()) {
+      ASSERT_FALSE(heap.empty());
+      PopBoth();
+    }
+    EXPECT_TRUE(heap.empty());
+    EXPECT_EQ(calendar.lane_pops() + calendar.calendar_pops(), pops);
+  }
+};
+
+TEST(CalendarLaneTest, JitteredDeliveriesInterleavedWithTimersMatchHeap) {
+  // Constant-latency sends stay in the lane; jittered ones sometimes
+  // sort before the tail and fall back; timers always use the calendar.
+  LaneHarness h;
+  Rng rng(20030305);
+  double now = 0.0;
+  for (int round = 0; round < 3000; ++round) {
+    const std::uint64_t sends = rng.NextBounded(12);
+    for (std::uint64_t i = 0; i < sends; ++i) {
+      const double jitter =
+          rng.NextBounded(3) == 0 ? 0.02 * rng.NextDouble() : 0.0;
+      h.Deliver(now + 0.05 + jitter);
+    }
+    if (rng.NextBounded(4) == 0) h.Timer(now + 30.0 * rng.NextDouble());
+    const std::uint64_t pops = rng.NextBounded(sends + 3);
+    for (std::uint64_t i = 0; i < pops && !h.calendar.empty(); ++i) {
+      now = h.PopBoth();
+    }
+  }
+  h.DrainBoth();
+  EXPECT_GT(h.calendar.lane_pops(), 0u);
+  EXPECT_GT(h.calendar.lane_fallbacks(), 0u);
+  EXPECT_GT(h.calendar.calendar_pops(), h.calendar.lane_fallbacks());
+}
+
+TEST(CalendarLaneTest, EqualTimeTiesPopInScheduleOrderAcrossLaneAndCalendar) {
+  // Deliveries and timers at identical timestamps, plus out-of-order
+  // deliveries landing on the same times through the calendar: FIFO by
+  // seq must hold across the two structures.
+  LaneHarness h;
+  const double kTimes[] = {1.0, 1.0, 2.0, 2.0, 2.0, 1.0, 3.0, 2.0};
+  for (int rep = 0; rep < 50; ++rep) {
+    for (const double t : kTimes) {
+      h.Deliver(t);
+      h.Timer(t);
+    }
+  }
+  h.DrainBoth();
+  EXPECT_GT(h.calendar.lane_pops(), 0u);
+  EXPECT_GT(h.calendar.lane_fallbacks(), 0u);
+}
+
+TEST(CalendarLaneTest, DayAndSubDayBoundaryTimesMatchHeap) {
+  // The default 0.25 s width divides these exactly: times on day
+  // boundaries, on sub-day boundaries, and one ulp below the next day
+  // (a fraction in the day's last sub-day), scheduled in a scrambled
+  // order so each staged day takes the slice-ordering path.
+  LaneHarness h;
+  const double kWidth = CalendarQueue().bucket_width_seconds();
+  ASSERT_EQ(kWidth, 0.25);
+  std::vector<double> times;
+  for (int day = 0; day < 40; ++day) {
+    const double start = kWidth * day;
+    const double next = kWidth * (day + 1);
+    times.push_back(start);
+    times.push_back(std::nextafter(next, 0.0));
+    times.push_back(std::nextafter(start, next));
+    for (int sub = 1; sub < 8; ++sub) times.push_back(start + kWidth * sub / 8);
+  }
+  // Fewer than 512 events: the calendar never resizes, so every day is
+  // staged under the width the times were chosen for.
+  Rng rng(77);
+  for (int i = 0; i < 500; ++i) {
+    const double t = times[rng.NextBounded(times.size())];
+    if (rng.NextBounded(2) == 0) {
+      h.Timer(t);
+    } else {
+      h.Deliver(t);
+    }
+  }
+  h.DrainBoth();
+  EXPECT_EQ(h.calendar.resizes(), 0u);
+  EXPECT_EQ(h.calendar.bucket_width_seconds(), kWidth);
+}
+
+TEST(CalendarLaneTest, SnapshotAndRestoreWithNonEmptyLane) {
+  LaneHarness h;
+  for (int i = 0; i < 200; ++i) {
+    h.Deliver(0.05 * i);
+    if (i % 3 == 0) h.Timer(0.05 * i + 7.5);
+    if (i % 7 == 0) h.Deliver(0.05 * i - 0.03 > 0 ? 0.05 * i - 0.03 : 0.0);
+  }
+  for (int i = 0; i < 40; ++i) h.PopBoth();
+  const std::vector<SimEvent> snapshot = h.calendar.SnapshotEvents();
+  const std::vector<SimEvent> oracle = h.heap.SnapshotEvents();
+  ASSERT_EQ(snapshot.size(), oracle.size());
+  for (std::size_t i = 0; i < snapshot.size(); ++i) {
+    ASSERT_EQ(snapshot[i].time, oracle[i].time) << i;
+    ASSERT_EQ(snapshot[i].seq, oracle[i].seq) << i;
+    ASSERT_EQ(snapshot[i].node, oracle[i].node) << i;
+  }
+  // The snapshot left the live queue untouched, lane included.
+  EXPECT_EQ(h.calendar.size(), snapshot.size());
+  // A restored queue serves the same order and keeps numbering where
+  // the original stopped; deliveries after the restore refill the lane.
+  LaneHarness restored;
+  restored.calendar.RestorePending(snapshot, h.calendar.next_seq());
+  restored.heap.RestorePending(oracle, h.heap.next_seq());
+  restored.next_node = h.next_node;
+  for (int i = 0; i < 100; ++i) {
+    restored.Deliver(2.0 + 0.05 * i);
+    if (i % 2 == 0) restored.PopBoth();
+  }
+  restored.DrainBoth();
+  EXPECT_GT(restored.calendar.lane_pops(), 0u);
+}
+
+TEST(CalendarLaneTest, ResizeWhileLaneHoldsEvents) {
+  // The lane is untouched by calendar resizes: fill it, then push the
+  // calendar through growth and shrink resizes before draining both.
+  LaneHarness h;
+  for (int i = 0; i < 300; ++i) h.Deliver(1.0 + 0.001 * i);
+  Rng rng(4);
+  for (int i = 0; i < 5000; ++i) h.Timer(100.0 * rng.NextDouble());
+  const std::uint64_t grow_resizes = h.calendar.resizes();
+  EXPECT_GT(grow_resizes, 0u);
+  for (int i = 0; i < 200; ++i) h.PopBoth();
+  for (int i = 0; i < 300; ++i) h.Deliver(2.0 + 0.001 * i);
+  h.DrainBoth();
+  EXPECT_GT(h.calendar.resizes(), grow_resizes);  // Shrinks too.
+  EXPECT_EQ(h.calendar.lane_pops(), 600u);
+  EXPECT_EQ(h.calendar.lane_fallbacks(), 0u);
 }
 
 }  // namespace
