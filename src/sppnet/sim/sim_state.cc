@@ -256,6 +256,7 @@ bool SimState::LoadFrom(CheckpointReader& r) {
     const std::uint64_t qid = r.GetU64();
     const std::size_t cluster = static_cast<std::size_t>(r.GetU64());
     const std::uint32_t upstream = r.GetU32();
+    if (cluster >= kNoCluster) return false;
     if (r.ok()) MarkSeen(cluster, qid, upstream);
   }
 

@@ -1,9 +1,12 @@
 #ifndef SPPNET_SIM_SIM_STATE_H_
 #define SPPNET_SIM_SIM_STATE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sppnet/common/check.h"
@@ -33,50 +36,66 @@ struct QueryCacheEntry {
   std::uint64_t owner = 0;
 };
 
-/// Open-addressing uint64 -> V table: power-of-two capacity, linear
-/// probing, generation-stamped occupancy (Clear() is O(1) — bump the
-/// generation). Point lookups only; nothing is ever erased, and the
-/// only iteration (ForEach) serves the checkpoint path, which sorts
-/// what it collects — exactly the simulator's access pattern
-/// (duplicate tables, result caches) and what makes the layout safely
-/// deterministic: probe order can never leak into results.
-template <typename V>
-class FlatMap64 {
+/// Open-addressing Key -> V table (Key is uint64 or uint32):
+/// power-of-two capacity, linear probing. Point lookups only; nothing
+/// is ever erased, and the only iteration (ForEach) serves the
+/// checkpoint path, which sorts what it collects — exactly the
+/// simulator's access pattern (duplicate tables, result caches) and
+/// what makes the layout safely deterministic: probe order can never
+/// leak into results.
+///
+/// Occupancy depends on the key width. A 64-bit key may take any value
+/// (hashes, content keys), so the slot carries a generation stamp and
+/// Clear() is O(1) — bump the generation. A 32-bit key gives up one
+/// value, kEmptyKey, to mark free slots, so the slot is just key and
+/// value (8 bytes for a uint32 value) and Clear() rewrites the slots.
+template <typename Key, typename V>
+class FlatMap {
+  static_assert(std::is_same_v<Key, std::uint64_t> ||
+                std::is_same_v<Key, std::uint32_t>);
+
  public:
-  FlatMap64() = default;
+  /// The key a 32-bit table reserves for free slots; never insertable.
+  static constexpr Key kEmptyKey = ~Key{0};
+
+  FlatMap() = default;
 
   /// Null when absent.
-  V* Find(std::uint64_t key) {
+  V* Find(Key key) {
     if (slots_.empty()) return nullptr;
     std::size_t i = Mix(key) & mask_;
-    while (slots_[i].stamp == generation_) {
+    while (Live(slots_[i])) {
       if (slots_[i].key == key) return &slots_[i].value;
       i = (i + 1) & mask_;
     }
     return nullptr;
   }
-  const V* Find(std::uint64_t key) const {
-    return const_cast<FlatMap64*>(this)->Find(key);
+  const V* Find(Key key) const {
+    return const_cast<FlatMap*>(this)->Find(key);
   }
 
   /// Returns (slot, inserted). A fresh slot holds a value-initialized V.
-  std::pair<V*, bool> FindOrInsert(std::uint64_t key) {
+  std::pair<V*, bool> FindOrInsert(Key key) {
+    if constexpr (!kStamped) SPPNET_CHECK(key != kEmptyKey);
     if (size_ + 1 > (Capacity() * 7) / 10) Grow();
     std::size_t i = Mix(key) & mask_;
-    while (slots_[i].stamp == generation_) {
+    while (Live(slots_[i])) {
       if (slots_[i].key == key) return {&slots_[i].value, false};
       i = (i + 1) & mask_;
     }
-    slots_[i].stamp = generation_;
-    slots_[i].key = key;
+    Occupy(slots_[i], key);
     slots_[i].value = V{};
     ++size_;
     return {&slots_[i].value, true};
   }
 
-  /// Drops every entry without touching the slot storage.
+  /// Drops every entry, keeping the slot storage.
   void Clear() {
-    ++generation_;
+    if constexpr (kStamped) {
+      ++generation_;
+    } else {
+      std::fill(slots_.begin(), slots_.end(), Slot{});
+    }
     size_ = 0;
   }
 
@@ -86,7 +105,7 @@ class FlatMap64 {
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     for (const Slot& slot : slots_) {
-      if (slot.stamp == generation_) fn(slot.key, slot.value);
+      if (Live(slot)) fn(slot.key, slot.value);
     }
   }
 
@@ -97,14 +116,34 @@ class FlatMap64 {
   }
 
  private:
-  /// The occupancy stamp lives inside the slot so a probe touches one
+  static constexpr bool kStamped = sizeof(Key) == sizeof(std::uint64_t);
+
+  /// The occupancy mark lives inside the slot so a probe touches one
   /// cache line, not two — the tables are far larger than LLC under
   /// real workloads and every avoided line is a DRAM miss saved.
-  struct Slot {
-    std::uint64_t key = 0;
+  struct StampedSlot {
+    Key key = 0;
     V value{};
     std::uint32_t stamp = 0;  ///< Occupied iff == generation_.
   };
+  struct SentinelSlot {
+    Key key = kEmptyKey;  ///< Occupied iff != kEmptyKey.
+    V value{};
+  };
+  using Slot = std::conditional_t<kStamped, StampedSlot, SentinelSlot>;
+
+  static bool LiveIn(const Slot& slot, std::uint32_t generation) {
+    if constexpr (kStamped) {
+      return slot.stamp == generation;
+    } else {
+      return slot.key != kEmptyKey;
+    }
+  }
+  bool Live(const Slot& slot) const { return LiveIn(slot, generation_); }
+  void Occupy(Slot& slot, Key key) const {
+    slot.key = key;
+    if constexpr (kStamped) slot.stamp = generation_;
+  }
 
   // splitmix64 finalizer: cheap, and scrambles the low bits the
   // sequential qids concentrate in.
@@ -124,20 +163,25 @@ class FlatMap64 {
     slots_.assign(new_cap, Slot{});
     generation_ = 1;
     mask_ = new_cap - 1;
-    for (std::size_t i = 0; i < old_slots.size(); ++i) {
-      if (old_slots[i].stamp != old_gen) continue;
-      std::size_t j = Mix(old_slots[i].key) & mask_;
-      while (slots_[j].stamp == generation_) j = (j + 1) & mask_;
-      slots_[j] = std::move(old_slots[i]);
-      slots_[j].stamp = generation_;
+    for (Slot& slot : old_slots) {
+      if (!LiveIn(slot, old_gen)) continue;
+      std::size_t j = Mix(slot.key) & mask_;
+      while (Live(slots_[j])) j = (j + 1) & mask_;
+      slots_[j] = std::move(slot);
+      Occupy(slots_[j], slots_[j].key);
     }
   }
 
   std::vector<Slot> slots_;
-  std::uint32_t generation_ = 1;
+  std::uint32_t generation_ = 1;  ///< Stamped tables only.
   std::size_t size_ = 0;
   std::size_t mask_ = 0;
 };
+
+template <typename V>
+using FlatMap64 = FlatMap<std::uint64_t, V>;
+template <typename V>
+using FlatMap32 = FlatMap<std::uint32_t, V>;
 
 /// All per-query simulator state behind one facade: the duplicate
 /// tables (per-cluster qid -> upstream), the per-root QueryState, the
@@ -159,6 +203,11 @@ class SimState {
   void EnsureClusters(std::size_t num_clusters);
 
   // --- Duplicate tables (per-cluster qid -> upstream) ---------------------
+  /// Cluster ids must stay below this (checked): the duplicate tables
+  /// key clusters by uint32 and reserve the top value for free slots.
+  static constexpr std::size_t kNoCluster =
+      FlatMap32<std::uint32_t>::kEmptyKey;
+
   /// Records that `cluster` saw `qid` arriving from `upstream`; returns
   /// true on the first visit (false: duplicate, upstream unchanged).
   /// Defined inline below: this is the hottest call in the simulator
@@ -251,11 +300,11 @@ class SimState {
   std::uint64_t duplicate_entries_ = 0;
   std::uint64_t interned_count_ = 0;
 
-  /// Duplicate tables indexed by qid, keyed by cluster. Qids are touched
-  /// in tight bursts (one flood), so the hot table is small and
-  /// cache-resident; per-cluster tables would spread the same probes
-  /// over the whole table population.
-  std::vector<FlatMap64<std::uint32_t>> dense_table_;
+  /// Duplicate tables indexed by qid, keyed by cluster, 8 bytes a slot.
+  /// Qids are touched in tight bursts (one flood), so the hot table is
+  /// small and cache-resident; per-cluster tables would spread the same
+  /// probes over the whole table population.
+  std::vector<FlatMap32<std::uint32_t>> dense_table_;
   std::vector<QueryState> state_slots_;                 // Indexed by qid.
   std::vector<std::uint8_t> state_live_;
   std::vector<std::uint64_t> root_slots_;               // kNoRoot = unset.
@@ -272,11 +321,13 @@ inline bool SimState::MarkSeen(std::size_t cluster, std::uint64_t qid,
   // (its slot is gone, and a wrapped index would grow the table without
   // bound); one predictable compare buys a loud failure instead.
   SPPNET_CHECK(qid >= qid_base_);
+  SPPNET_CHECK(cluster < kNoCluster);
   // Keyed per qid (not per cluster): a flood's visits all land in one
   // small table that stays cache-resident while the flood is live,
   // instead of scattering point probes across every cluster's table.
   EnsureSlot(dense_table_, SlotOf(qid), {});
-  const auto [slot, inserted] = dense_table_[SlotOf(qid)].FindOrInsert(cluster);
+  const auto [slot, inserted] = dense_table_[SlotOf(qid)].FindOrInsert(
+      static_cast<std::uint32_t>(cluster));
   if (inserted) {
     *slot = upstream;
     ++duplicate_entries_;
@@ -286,8 +337,10 @@ inline bool SimState::MarkSeen(std::size_t cluster, std::uint64_t qid,
 
 inline const std::uint32_t* SimState::Upstream(std::size_t cluster,
                                                std::uint64_t qid) const {
-  if (SlotOf(qid) >= dense_table_.size()) return nullptr;
-  return dense_table_[SlotOf(qid)].Find(cluster);
+  if (SlotOf(qid) >= dense_table_.size() || cluster >= kNoCluster) {
+    return nullptr;
+  }
+  return dense_table_[SlotOf(qid)].Find(static_cast<std::uint32_t>(cluster));
 }
 
 }  // namespace sppnet

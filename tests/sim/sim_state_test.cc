@@ -1,12 +1,14 @@
-// Unit coverage for the simulator's per-query state: the FlatMap64
-// open-addressing table in isolation, and SimState's observable
-// semantics op by op (the whole-simulator version of this contract
+// Unit coverage for the simulator's per-query state: the FlatMap
+// open-addressing tables (64-bit and 32-bit keys) in isolation, and
+// SimState's observable semantics op by op (the whole-simulator version of this contract
 // lives in engine_equivalence_test.cc).
 
 #include "sppnet/sim/sim_state.h"
 
 #include <cstdint>
 #include <functional>
+#include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -101,6 +103,67 @@ TEST(FlatMap64Test, AdversarialKeysCollideWithoutLoss) {
   }
 }
 
+// --- The 8-byte table (32-bit keys, sentinel occupancy) ----------------
+
+TEST(FlatMap32Test, SlotsAreEightBytes) {
+  FlatMap32<std::uint32_t> m;
+  *m.FindOrInsert(1).first = 2;
+  EXPECT_EQ(m.ApproxMemoryBytes(), m.Capacity() * 8);
+}
+
+TEST(FlatMap32Test, FirstWriterWinsAgainstOracleThroughGrowth) {
+  // Random keys over the whole legal range (the top value is the free
+  // mark), written through several doublings; the table must agree
+  // with a first-writer-wins map at every step and after the last.
+  FlatMap32<std::uint32_t> m;
+  std::unordered_map<std::uint32_t, std::uint32_t> oracle;
+  Rng rng(1290);
+  std::size_t capacity_seen = 0;
+  std::size_t growths = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const auto key = static_cast<std::uint32_t>(
+        rng.NextBounded(4) == 0 ? FlatMap32<std::uint32_t>::kEmptyKey - 1 -
+                                      rng.NextBounded(64)
+                                : rng.NextBounded(30000));
+    const auto value = static_cast<std::uint32_t>(i);
+    const auto [it, fresh] = oracle.try_emplace(key, value);
+    const auto [slot, inserted] = m.FindOrInsert(key);
+    ASSERT_EQ(inserted, fresh) << i;
+    if (inserted) *slot = value;
+    ASSERT_EQ(*slot, it->second) << i;
+    if (m.Capacity() != capacity_seen) {
+      ++growths;
+      capacity_seen = m.Capacity();
+    }
+  }
+  EXPECT_GE(growths, 8u);
+  EXPECT_EQ(m.size(), oracle.size());
+  for (const auto& [key, value] : oracle) {
+    ASSERT_NE(m.Find(key), nullptr) << key;
+    ASSERT_EQ(*m.Find(key), value) << key;
+  }
+  std::size_t visited = 0;
+  m.ForEach([&](std::uint32_t key, std::uint32_t value) {
+    ++visited;
+    EXPECT_EQ(oracle.at(key), value);
+  });
+  EXPECT_EQ(visited, oracle.size());
+  EXPECT_EQ(m.Find(FlatMap32<std::uint32_t>::kEmptyKey), nullptr);
+}
+
+TEST(FlatMap32Test, ClearEmptiesTheSlots) {
+  FlatMap32<std::uint32_t> m;
+  for (std::uint32_t i = 0; i < 100; ++i) *m.FindOrInsert(i).first = 1;
+  const std::size_t capacity = m.Capacity();
+  m.Clear();
+  EXPECT_EQ(m.size(), 0u);
+  EXPECT_EQ(m.Capacity(), capacity);
+  for (std::uint32_t i = 0; i < 100; ++i) EXPECT_EQ(m.Find(i), nullptr) << i;
+  const auto [slot, inserted] = m.FindOrInsert(5);
+  EXPECT_TRUE(inserted);
+  EXPECT_EQ(*slot, 0u);
+}
+
 // --- SimState semantics ------------------------------------------------
 //
 // Every operation's observable result, checked against explicit expected
@@ -133,6 +196,28 @@ TEST(SimStateParityTest, MarkSeenAndUpstream) {
     }
   }
   EXPECT_EQ(s.Upstream(0, 999999), nullptr);
+}
+
+TEST(SimStateParityTest, MarkSeenThroughTableGrowthAtWideClusterIds) {
+  // One flood reaching thousands of clusters, ids up to the largest
+  // legal one: the per-qid table grows many times over and still keeps
+  // each first upstream.
+  SimState s(8);
+  std::unordered_map<std::uint32_t, std::uint32_t> first_upstream;
+  Rng rng(512);
+  for (int i = 0; i < 6000; ++i) {
+    const std::size_t cluster =
+        rng.NextBounded(2) == 0 ? rng.NextBounded(5000)
+                                : SimState::kNoCluster - 1 - rng.NextBounded(9);
+    const auto upstream = static_cast<std::uint32_t>(i);
+    const auto [it, fresh] = first_upstream.try_emplace(
+        static_cast<std::uint32_t>(cluster), upstream);
+    ASSERT_EQ(s.MarkSeen(cluster, 3, upstream), fresh) << i;
+    ASSERT_EQ(*s.Upstream(cluster, 3), it->second) << i;
+  }
+  EXPECT_EQ(s.duplicate_entries(), first_upstream.size());
+  EXPECT_EQ(s.Upstream(SimState::kNoCluster, 3), nullptr);
+  EXPECT_EQ(s.Upstream(std::size_t{1} << 40, 3), nullptr);
 }
 
 TEST(SimStateParityTest, ClaimFindAndRootMapping) {
@@ -239,6 +324,63 @@ TEST(SimStateDeathTest, DenseClaimRejectsReclaim) {
   SimState state(2);
   state.Claim(5);
   EXPECT_DEATH(state.Claim(5), "state_live_");
+}
+
+TEST(SimStateDeathTest, MarkSeenRejectsTheSentinelClusterId) {
+  // The duplicate tables mark free slots with the top uint32 cluster id,
+  // so that id (and anything wider, which would truncate onto a real
+  // cluster) must never be recorded.
+  SimState state(2);
+  EXPECT_DEATH(state.MarkSeen(SimState::kNoCluster, 0, 1), "kNoCluster");
+  EXPECT_DEATH(state.MarkSeen(std::size_t{1} << 32, 0, 1), "kNoCluster");
+  EXPECT_TRUE(state.MarkSeen(SimState::kNoCluster - 1, 0, 1));
+}
+
+TEST(FlatMap32DeathTest, SentinelKeyIsNeverInsertable) {
+  FlatMap32<std::uint32_t> m;
+  EXPECT_DEATH(m.FindOrInsert(FlatMap32<std::uint32_t>::kEmptyKey),
+               "kEmptyKey");
+}
+
+TEST(SimStateTest, LoadRejectsSentinelClusterInDuplicateTable) {
+  // A checkpoint whose duplicate-table entry names the sentinel cluster
+  // is malformed; restore reports it instead of aborting.
+  constexpr std::uint32_t kMagic = 0x74736574u;
+  SimState source(4);
+  source.MarkSeen(2, 7, 1);
+  CheckpointWriter w(kMagic, 1);
+  source.SaveTo(w);
+  std::vector<std::uint8_t> bytes = w.Finish();
+  // Envelope header (u32 magic, u16 version, u64 payload size), then the
+  // state section: u32 tag, four u64 tallies, the u64 entry count and
+  // the first entry's u64 qid ahead of its u64 cluster.
+  const std::size_t cluster_at = (4 + 2 + 8) + 4 + 6 * 8;
+  ASSERT_EQ(bytes[cluster_at], 2u);
+  const auto set_cluster = [&](std::uint32_t cluster) {
+    for (std::size_t i = 0; i < 4; ++i) {
+      bytes[cluster_at + i] = static_cast<std::uint8_t>(cluster >> (8 * i));
+    }
+    const std::size_t body = bytes.size() - 8;
+    const std::uint64_t checksum =
+        Fnv1a64(std::span<const std::uint8_t>(bytes.data(), body));
+    for (std::size_t i = 0; i < 8; ++i) {
+      bytes[body + i] = static_cast<std::uint8_t>(checksum >> (8 * i));
+    }
+  };
+  const auto load = [&](SimState& restored) {
+    std::optional<CheckpointReader> r =
+        CheckpointReader::Open(bytes, kMagic, 1);
+    EXPECT_TRUE(r.has_value());
+    return r.has_value() && restored.LoadFrom(*r);
+  };
+  set_cluster(FlatMap32<std::uint32_t>::kEmptyKey);
+  SimState rejected(4);
+  EXPECT_FALSE(load(rejected));
+  set_cluster(3);
+  SimState restored(4);
+  ASSERT_TRUE(load(restored));
+  ASSERT_NE(restored.Upstream(3, 7), nullptr);
+  EXPECT_EQ(*restored.Upstream(3, 7), 1u);
 }
 
 }  // namespace
