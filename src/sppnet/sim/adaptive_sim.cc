@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 
 #include "sppnet/common/check.h"
 #include "sppnet/workload/election.h"
@@ -327,38 +326,44 @@ bool AdaptiveController::DemoteHead(std::size_t i, RoundActions& actions) {
   return true;
 }
 
-double AdaptiveController::MeanReach(int ttl) const {
+AdaptiveController::ReachPair AdaptiveController::MeanReach(int ttl) const {
   // Files-weighted BFS reach over the live overlay: from each live
   // cluster, the total shared files within `ttl` hops (self included).
   // A deterministic stand-in for the evaluator's mean_reach — the two
   // agree on whether dropping one hop loses coverage, which is all
-  // rule III asks.
-  if (live_clusters_ == 0 || ttl < 0) return 0.0;
+  // rule III asks. The FIFO discovers every node at depth <= ttl - 1
+  // in the same order a (ttl - 1)-hop BFS would, so the shorter sum
+  // adds the same terms in the same order as a separate search.
+  SPPNET_CHECK(ttl >= 1);
+  if (live_clusters_ == 0) return {};
   const std::size_t slots = head_.size();
-  double total = 0.0;
-  std::vector<int> depth(slots);
-  std::deque<std::uint32_t> frontier;
+  ReachPair total;
+  std::vector<int> depth(slots, -1);
+  std::vector<std::uint32_t> frontier;  // Every node this source found.
   for (std::size_t src = 0; src < slots; ++src) {
     if (dead_[src]) continue;
-    std::fill(depth.begin(), depth.end(), -1);
     frontier.clear();
     depth[src] = 0;
     frontier.push_back(static_cast<std::uint32_t>(src));
     double reach = files_sum_[src];
-    while (!frontier.empty()) {
-      const std::uint32_t u = frontier.front();
-      frontier.pop_front();
+    double shorter = files_sum_[src];
+    for (std::size_t head = 0; head < frontier.size(); ++head) {
+      const std::uint32_t u = frontier[head];
       if (depth[u] >= ttl) continue;
       for (const std::uint32_t v : adj_[u]) {
         if (dead_[v] || depth[v] >= 0) continue;
         depth[v] = depth[u] + 1;
         reach += files_sum_[v];
+        if (depth[v] < ttl) shorter += files_sum_[v];
         frontier.push_back(v);
       }
     }
-    total += reach;
+    total.at_ttl += reach;
+    total.at_shorter += shorter;
+    for (const std::uint32_t u : frontier) depth[u] = -1;
   }
-  return total / static_cast<double>(live_clusters_);
+  const auto live = static_cast<double>(live_clusters_);
+  return {total.at_ttl / live, total.at_shorter / live};
 }
 
 AdaptiveController::RoundActions AdaptiveController::RunRound(
@@ -473,9 +478,8 @@ AdaptiveController::RoundActions AdaptiveController::RunRound(
 
   // --- Rule III: shrink TTL while reach is preserved ---------------------
   if (current_ttl > 1) {
-    const double with_current = MeanReach(current_ttl);
-    const double with_shorter = MeanReach(current_ttl - 1);
-    if (with_shorter >= kReachRetention * with_current) {
+    const ReachPair reach = MeanReach(current_ttl);
+    if (reach.at_shorter >= kReachRetention * reach.at_ttl) {
       actions.new_ttl = current_ttl - 1;
       actions.ttl_decreased = true;
     }

@@ -223,10 +223,15 @@ class AdaptiveController {
   /// member if that member strictly outranks the current head; no-op
   /// (returns false) otherwise.
   bool DemoteHead(std::size_t i, RoundActions& actions);
-  /// Files-weighted mean BFS reach at `ttl` hops over the live overlay
-  /// (the in-sim stand-in for the evaluator's mean_reach in rule III;
-  /// deterministic, no RNG).
-  double MeanReach(int ttl) const;
+  /// Files-weighted mean BFS reach over the live overlay at `ttl` hops
+  /// and at `ttl - 1` hops, from one BFS per source (the in-sim
+  /// stand-in for the evaluator's mean_reach in rule III;
+  /// deterministic, no RNG). Requires ttl >= 1.
+  struct ReachPair {
+    double at_ttl = 0.0;
+    double at_shorter = 0.0;
+  };
+  ReachPair MeanReach(int ttl) const;
   const NeighborReport* FreshReport(std::size_t observer,
                                     std::uint32_t reporter) const;
 
