@@ -29,7 +29,7 @@ constexpr std::uint64_t kMinGapSamples = 64;
 
 // Width as a multiple of the mean gap between calendar dequeues. With
 // the staged "today" run a day is ordered once (near-linear, see
-// OrderToday) and served in order, so wide days are cheap while narrow
+// StageDay) and served in order, so wide days are cheap while narrow
 // days are not: every empty day costs a probe when the walk hunts for
 // the next populated one. The gap distribution is skewed — bursts of
 // jittered deliveries contribute many near-zero gaps, the Poisson
@@ -37,11 +37,11 @@ constexpr std::uint64_t kMinGapSamples = 64;
 // yields short days in absolute terms.
 constexpr double kWidthPerGap = 256.0;
 constexpr double kMinWidth = 1e-12;
+constexpr double kMaxWidth = 1e12;
 
-// Longest sub-day slice OrderToday sorts by insertion; longer ones (many
+// Longest sub-day slice StageDay sorts by insertion; longer ones (many
 // equal or clamped times in one slice) take std::sort instead.
 constexpr std::size_t kInsertionSortMax = 16;
-constexpr double kMaxWidth = 1e12;
 
 // Functor (not a function pointer) so std::sort / std::lower_bound
 // inline the comparison — it runs tens of millions of times per run.
@@ -235,18 +235,37 @@ void CalendarQueue::StageDay(std::uint64_t day) const {
   today_.clear();
   today_pos_ = 0;
   today_day_ = day;
-  // One compacting pass: day slots out, the rest keeps its bucket. The
-  // relative order of survivors changes freely — selection is by
-  // (time, seq), never by position.
+  // Counting pass: key each of the day's events by its slice of the
+  // day, one of `slices` equal sub-days (about one per bucket slot),
+  // and count the slices. SliceOf is monotone in time, so slice order
+  // never contradicts (time, seq) order.
+  const std::size_t slices = std::bit_ceil(bucket.size());
+  stage_counts_.assign(slices + 1, 0);
+  std::size_t staged = 0;
+  for (const SimEvent& event : bucket) {
+    if (DayOf(event.time) != day) continue;
+    ++stage_counts_[SliceOf(event.time, day, slices) + 1];
+    ++staged;
+  }
+  slot_visits_ += bucket.size() - staged;
+  today_active_ = staged > 0;
+  if (staged == 0) return;
+  for (std::size_t k = 1; k <= slices; ++k) {
+    stage_counts_[k] += stage_counts_[k - 1];
+  }
+  // Scatter pass: day slots go to their slice's place in the staged
+  // run, the rest keeps its bucket. The relative order of survivors
+  // changes freely — selection is by (time, seq), never by position.
+  today_.resize(staged);
   std::size_t kept = 0;
   for (std::size_t i = 0; i < bucket.size(); ++i) {
     if (DayOf(bucket[i].time) == day) {
-      today_.push_back(bucket[i]);
+      today_[stage_counts_[SliceOf(bucket[i].time, day, slices)]++] =
+          bucket[i];
     } else {
       bucket[kept++] = bucket[i];
     }
   }
-  slot_visits_ += kept;
   bucket.resize(kept);
   // A burst of events parked on one day leaves its bucket with a large
   // capacity; on an unbounded run every bucket eventually hosts one
@@ -254,57 +273,23 @@ void CalendarQueue::StageDay(std::uint64_t day) const {
   // event count stays flat (bench/sustained_throughput holds RSS flat
   // over 1e8 events). Trim the ratchet back once it overshoots the
   // survivors 8x; the occasional re-growth is a few geometric
-  // push_back reallocations, invisible next to the staging pass.
+  // push_back reallocations, invisible next to the staging passes.
   if (bucket.capacity() > std::max<std::size_t>(8 * kept, 64)) {
     std::vector<SimEvent>(bucket.begin(), bucket.end()).swap(bucket);
   }
-  today_active_ = !today_.empty();
-  OrderToday();
-  min_valid_ = false;
-}
-
-void CalendarQueue::OrderToday() const {
-  // A day whose events were scheduled in (time, seq) order needs no
-  // work; the check stops at the first inversion otherwise.
-  if (std::is_sorted(today_.begin(), today_.end(), EarlierCmp{})) return;
-  // Counting pass: key each event by its slice of the day, one of
-  // `slices` equal sub-days, from the same product DayOf uses —
-  // time * inv_width_ minus the day is monotone in time, so slice
-  // order never contradicts (time, seq) order. Far-future events
-  // clamped into the last day land in the last slice.
-  const std::size_t n = today_.size();
-  const std::size_t slices = std::bit_ceil(n);
-  const double scale = static_cast<double>(slices);
-  const double base = static_cast<double>(today_day_);
-  const auto last = static_cast<std::uint32_t>(slices - 1);
-  stage_keys_.resize(n);
-  stage_counts_.assign(slices + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double pos = (today_[i].time * inv_width_ - base) * scale;
-    const std::uint32_t slice =
-        pos < scale ? static_cast<std::uint32_t>(pos) : last;
-    stage_keys_[i] = slice;
-    ++stage_counts_[slice + 1];
-  }
-  for (std::size_t k = 1; k <= slices; ++k) {
-    stage_counts_[k] += stage_counts_[k - 1];
-  }
-  stage_scratch_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    stage_scratch_[stage_counts_[stage_keys_[i]]++] = today_[i];
-  }
-  today_.swap(stage_scratch_);
   // stage_counts_[k] now ends slice k. With about one event per slice
   // the runs are short, so insertion sort orders each in near-linear
   // time; a long run (a pile of equal or clamped times) gets a
-  // comparison sort of that run alone.
+  // comparison sort of that run alone, unless already in order.
   std::size_t begin = 0;
   for (std::size_t k = 0; k < slices; ++k) {
     const std::size_t end = stage_counts_[k];
     SimEvent* const first = today_.data() + begin;
     SimEvent* const stop = today_.data() + end;
     if (end - begin > kInsertionSortMax) {
-      std::sort(first, stop, EarlierCmp{});
+      if (!std::is_sorted(first, stop, EarlierCmp{})) {
+        std::sort(first, stop, EarlierCmp{});
+      }
     } else {
       for (SimEvent* it = first + 1; it < stop; ++it) {
         const SimEvent moving = *it;
@@ -318,6 +303,7 @@ void CalendarQueue::OrderToday() const {
     }
     begin = end;
   }
+  min_valid_ = false;
 }
 
 SimEvent CalendarQueue::Pop() {
@@ -503,11 +489,9 @@ void CalendarQueue::RestorePending(const std::vector<SimEvent>& events,
 
 std::size_t CalendarQueue::ApproxMemoryBytes() const {
   std::size_t bytes = buckets_.capacity() * sizeof(buckets_[0]) +
-                      (today_.capacity() + stage_scratch_.capacity() +
-                       lane_.capacity()) *
+                      (today_.capacity() + lane_.capacity()) *
                           sizeof(SimEvent) +
-                      (stage_keys_.capacity() + stage_counts_.capacity()) *
-                          sizeof(std::uint32_t);
+                      stage_counts_.capacity() * sizeof(std::uint32_t);
   for (const auto& bucket : buckets_) {
     bytes += bucket.capacity() * sizeof(SimEvent);
   }

@@ -174,7 +174,7 @@ class CalendarQueue {
   std::uint64_t calendar_pops() const { return calendar_pops_; }
   std::uint64_t lane_fallbacks() const { return lane_fallbacks_; }
   /// Approximate resident bytes of the bucket array, the staged run,
-  /// its ordering scratch and the lane (capacity-based).
+  /// its slice counts and the lane (capacity-based).
   std::size_t ApproxMemoryBytes() const;
 
  private:
@@ -227,10 +227,18 @@ class CalendarQueue {
   /// (the sparse-calendar fallback of StageNext and FindMin).
   void GlobalScan() const;
   /// Extracts every slot of `day` from its bucket and makes them the
-  /// staged run, ordered by (time, seq).
+  /// staged run, ordered by (time, seq); leaves no staged run when the
+  /// day is empty.
   void StageDay(std::uint64_t day) const;
-  /// Orders the freshly extracted staged run by (time, seq).
-  void OrderToday() const;
+  /// Which of `slices` equal sub-days of `day` holds `time`: derived
+  /// from the same product as DayOf, so monotone in time. Far-future
+  /// times clamped into the last day land in the last slice.
+  std::size_t SliceOf(double time, std::uint64_t day,
+                      std::size_t slices) const {
+    const double scale = static_cast<double>(slices);
+    const double pos = (time * inv_width_ - static_cast<double>(day)) * scale;
+    return pos < scale ? static_cast<std::size_t>(pos) : slices - 1;
+  }
   /// Removes and returns the calendar's earliest event.
   SimEvent PopCalendar();
   /// Doubles / halves the bucket array and re-derives the bucket width
@@ -269,11 +277,8 @@ class CalendarQueue {
   mutable std::size_t today_pos_ = 0;
   mutable std::uint64_t today_day_ = 0;
   mutable bool today_active_ = false;
-  // OrderToday scratch: per-event sub-day slice, slice boundaries, and
-  // the second buffer of the counting pass.
-  mutable std::vector<std::uint32_t> stage_keys_;
+  // StageDay scratch: per-slice counts, then slice boundaries.
   mutable std::vector<std::uint32_t> stage_counts_;
-  mutable std::vector<SimEvent> stage_scratch_;
 
   // Cached bucket-side minimum (valid between FindMin and the next
   // bucket-side mutation): location, plus a (time, seq) copy so the
