@@ -192,8 +192,12 @@ bool CalendarQueue::TodayWins() const {
 }
 
 CalendarQueue::Key CalendarQueue::CalendarFront() const {
-  if (!TodayHasEvents()) StageNext();
-  return TodayWins() ? KeyOf(today_[today_pos_]) : min_key_;
+  // Peeking never stages: a day staged early would take every later
+  // insert into it as a sorted insert, while the buckets take them in
+  // O(1) and the day is ordered once when it is popped.
+  if (TodayHasEvents() && TodayWins()) return KeyOf(today_[today_pos_]);
+  if (!min_valid_) FindMin();
+  return min_key_;
 }
 
 double CalendarQueue::NextTime() const {
@@ -206,31 +210,7 @@ double CalendarQueue::NextTime() const {
   return calendar.time;
 }
 
-void CalendarQueue::StageNext() const {
-  // Walk the calendar one day at a time from cur_day_, staging each;
-  // the first day holding any event holds the minimum (events of later
-  // days have strictly later times). A bucket is shared by all days
-  // congruent modulo the bucket count, so an empty day may still cost
-  // a pass over other days' slots.
-  const std::size_t mask = buckets_.size() - 1;
-  for (std::size_t step = 0; step < buckets_.size(); ++step) {
-    ++day_steps_;
-    const std::uint64_t day = cur_day_ + step;
-    if (buckets_[day & mask].empty()) continue;
-    StageDay(day);
-    if (today_active_) {
-      cur_day_ = day;
-      return;
-    }
-  }
-  // The next event is more than a whole year ahead (sparse region):
-  // one direct scan instead of walking day by day.
-  GlobalScan();
-  StageDay(DayOf(min_key_.time));
-  cur_day_ = today_day_;
-}
-
-void CalendarQueue::StageDay(std::uint64_t day) const {
+void CalendarQueue::StageDay(std::uint64_t day) {
   auto& bucket = buckets_[day & (buckets_.size() - 1)];
   today_.clear();
   today_pos_ = 0;
@@ -247,9 +227,7 @@ void CalendarQueue::StageDay(std::uint64_t day) const {
     ++stage_counts_[SliceOf(event.time, day, slices) + 1];
     ++staged;
   }
-  slot_visits_ += bucket.size() - staged;
-  today_active_ = staged > 0;
-  if (staged == 0) return;
+  today_active_ = true;
   for (std::size_t k = 1; k <= slices; ++k) {
     stage_counts_[k] += stage_counts_[k - 1];
   }
@@ -320,7 +298,12 @@ SimEvent CalendarQueue::Pop() {
 }
 
 SimEvent CalendarQueue::PopCalendar() {
-  if (!TodayHasEvents()) StageNext();
+  if (!TodayHasEvents()) {
+    // The calendar minimum's whole day becomes the staged run.
+    if (!min_valid_) FindMin();
+    StageDay(DayOf(min_key_.time));
+    cur_day_ = today_day_;
+  }
   SimEvent e;
   if (TodayWins()) {
     e = today_[today_pos_++];
@@ -409,11 +392,8 @@ void CalendarQueue::FindMin() const {
       return;
     }
   }
-  GlobalScan();
-  cur_day_ = DayOf(min_key_.time);
-}
-
-void CalendarQueue::GlobalScan() const {
+  // The next event is more than a whole year ahead (sparse region):
+  // direct scan over every slot instead of walking day by day.
   ++global_scans_;
   std::size_t best_bucket = buckets_.size();
   std::size_t best_slot = 0;
@@ -431,6 +411,7 @@ void CalendarQueue::GlobalScan() const {
   min_slot_ = best_slot;
   min_key_ = KeyOf(buckets_[best_bucket][best_slot]);
   min_valid_ = true;
+  cur_day_ = DayOf(min_key_.time);
 }
 
 void CalendarQueue::Resize(std::size_t new_buckets) {

@@ -160,10 +160,8 @@ class CalendarQueue {
   std::uint64_t resizes() const { return resizes_; }
   std::size_t num_buckets() const { return buckets_.size(); }
   double bucket_width_seconds() const { return width_; }
-  /// Scan-effort counters (deterministic): empty-day probes, bucket
-  /// slots examined without being staged (other days' events sharing a
-  /// scanned bucket, and min-search visits), and whole-calendar
-  /// fallback scans.
+  /// Scan-effort counters (deterministic): empty-day probes, slot
+  /// visits during day scans, and whole-calendar fallback scans.
   std::uint64_t day_steps() const { return day_steps_; }
   std::uint64_t slot_visits() const { return slot_visits_; }
   std::uint64_t global_scans() const { return global_scans_; }
@@ -208,28 +206,18 @@ class CalendarQueue {
   std::size_t BucketSideSize() const {
     return size_ - (today_.size() - today_pos_);
   }
-  /// The calendar's earliest (time, seq), staging its front day first
-  /// when no staged run is left. Requires size_ > 0.
+  /// The calendar's earliest (time, seq). Requires size_ > 0.
   Key CalendarFront() const;
   /// True when the staged run's front beats every bucket-side event.
   /// Requires a staged run with events left.
   bool TodayWins() const;
-  /// Stages the earliest populated day: walks the days from cur_day_,
-  /// falling back to a global scan after a whole year of empty days.
-  /// Requires BucketSideSize() > 0 and no staged run left.
-  void StageNext() const;
   /// Locates the earliest (time, seq) bucket-side slot and caches its
   /// position; advances cur_day_ to that event's day. Requires
-  /// BucketSideSize() > 0. Never touches the staged day. Only needed
-  /// when an event was scheduled into a day before the staged one.
+  /// BucketSideSize() > 0. Never touches the staged day.
   void FindMin() const;
-  /// Walks every bucket for the earliest (time, seq) slot and caches it
-  /// (the sparse-calendar fallback of StageNext and FindMin).
-  void GlobalScan() const;
-  /// Extracts every slot of `day` from its bucket and makes them the
-  /// staged run, ordered by (time, seq); leaves no staged run when the
-  /// day is empty.
-  void StageDay(std::uint64_t day) const;
+  /// Extracts every slot of `day` (which holds at least one) from its
+  /// bucket and makes them the staged run, ordered by (time, seq).
+  void StageDay(std::uint64_t day);
   /// Which of `slices` equal sub-days of `day` holds `time`: derived
   /// from the same product as DayOf, so monotone in time. Far-future
   /// times clamped into the last day land in the last slice.
@@ -271,14 +259,13 @@ class CalendarQueue {
   mutable std::uint64_t cur_day_ = 0;
 
   // Staged front day: its events live here (removed from the buckets),
-  // sorted ascending by (time, seq), served from today_pos_. Staging
-  // happens on demand from the const peeks, hence mutable.
-  mutable std::vector<SimEvent> today_;
-  mutable std::size_t today_pos_ = 0;
-  mutable std::uint64_t today_day_ = 0;
-  mutable bool today_active_ = false;
+  // sorted ascending by (time, seq), served from today_pos_.
+  std::vector<SimEvent> today_;
+  std::size_t today_pos_ = 0;
+  std::uint64_t today_day_ = 0;
+  bool today_active_ = false;
   // StageDay scratch: per-slice counts, then slice boundaries.
-  mutable std::vector<std::uint32_t> stage_counts_;
+  std::vector<std::uint32_t> stage_counts_;
 
   // Cached bucket-side minimum (valid between FindMin and the next
   // bucket-side mutation): location, plus a (time, seq) copy so the
