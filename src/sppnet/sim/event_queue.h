@@ -74,10 +74,10 @@ class EventQueue {
 /// holding the events whose time falls in one `width`-second slice
 /// ("day"); a day maps to bucket `day & (nbuckets-1)`, so the array
 /// wraps around once per `nbuckets * width` seconds ("year"). When the
-/// front day is reached, its events are extracted from the bucket in
-/// one pass and ordered by (time, seq) into a staged "today" run served
-/// in order. The ordering is a counting pass over sub-day slices
-/// followed by an insertion sort of each (short) slice, never a
+/// calendar pops the first event of a day, the day's events move out
+/// of the bucket into a staged "today" run served in order. Staging
+/// is a counting pass over sub-day slices, a scatter pass into the
+/// run, and an insertion sort of each (short) slice — never a
 /// comparison sort of the whole day.
 ///
 /// The lane is a ring buffer of message deliveries

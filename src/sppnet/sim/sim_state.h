@@ -1,7 +1,6 @@
 #ifndef SPPNET_SIM_SIM_STATE_H_
 #define SPPNET_SIM_SIM_STATE_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <type_traits>
@@ -48,7 +47,7 @@ struct QueryCacheEntry {
 /// (hashes, content keys), so the slot carries a generation stamp and
 /// Clear() is O(1) — bump the generation. A 32-bit key gives up one
 /// value, kEmptyKey, to mark free slots, so the slot is just key and
-/// value (8 bytes for a uint32 value) and Clear() rewrites the slots.
+/// value (8 bytes for a uint32 value), and the table cannot be cleared.
 template <typename Key, typename V>
 class FlatMap {
   static_assert(std::is_same_v<Key, std::uint64_t> ||
@@ -89,13 +88,11 @@ class FlatMap {
     return {&slots_[i].value, true};
   }
 
-  /// Drops every entry, keeping the slot storage.
+  /// Drops every entry without touching the slot storage (64-bit keys
+  /// only: bump the generation).
   void Clear() {
-    if constexpr (kStamped) {
-      ++generation_;
-    } else {
-      std::fill(slots_.begin(), slots_.end(), Slot{});
-    }
+    static_assert(kStamped, "only generation-stamped tables clear in O(1)");
+    ++generation_;
     size_ = 0;
   }
 

@@ -151,19 +151,6 @@ TEST(FlatMap32Test, FirstWriterWinsAgainstOracleThroughGrowth) {
   EXPECT_EQ(m.Find(FlatMap32<std::uint32_t>::kEmptyKey), nullptr);
 }
 
-TEST(FlatMap32Test, ClearEmptiesTheSlots) {
-  FlatMap32<std::uint32_t> m;
-  for (std::uint32_t i = 0; i < 100; ++i) *m.FindOrInsert(i).first = 1;
-  const std::size_t capacity = m.Capacity();
-  m.Clear();
-  EXPECT_EQ(m.size(), 0u);
-  EXPECT_EQ(m.Capacity(), capacity);
-  for (std::uint32_t i = 0; i < 100; ++i) EXPECT_EQ(m.Find(i), nullptr) << i;
-  const auto [slot, inserted] = m.FindOrInsert(5);
-  EXPECT_TRUE(inserted);
-  EXPECT_EQ(*slot, 0u);
-}
-
 // --- SimState semantics ------------------------------------------------
 //
 // Every operation's observable result, checked against explicit expected
