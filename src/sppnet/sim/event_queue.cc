@@ -140,7 +140,7 @@ void CalendarQueue::GrowLane() {
 void CalendarQueue::Insert(const SimEvent& event) {
   SPPNET_CHECK(std::isfinite(event.time) && event.time >= 0.0);
   const std::uint64_t day = DayOf(event.time);
-  if (today_active_ && day == today_day_) {
+  if (TodayHasEvents() && day == today_day_) {
     // The staged day receives its late arrivals directly, keeping the
     // "no bucket slot carries today_day_" invariant. Sorted insert; in
     // the common case (a flood wave scheduling ascending (time, seq))
@@ -227,7 +227,6 @@ void CalendarQueue::StageDay(std::uint64_t day) {
     ++stage_counts_[SliceOf(event.time, day, slices) + 1];
     ++staged;
   }
-  today_active_ = true;
   for (std::size_t k = 1; k <= slices; ++k) {
     stage_counts_[k] += stage_counts_[k - 1];
   }
@@ -310,7 +309,6 @@ SimEvent CalendarQueue::PopCalendar() {
     if (today_pos_ == today_.size()) {
       today_.clear();
       today_pos_ = 0;
-      today_active_ = false;
       // No bucket-side event of this day or an earlier one can remain
       // (it would have won every pop until now), so the next walk
       // starts at the following day.
@@ -439,7 +437,6 @@ void CalendarQueue::Resize(std::size_t new_buckets) {
   }
   today_.clear();
   today_pos_ = 0;
-  today_active_ = false;
   cur_day_ = size_ > 0 ? min_day : DayOf(last_pop_time_);
   min_valid_ = false;
   gap_sum_ = 0.0;

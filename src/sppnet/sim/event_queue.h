@@ -200,9 +200,7 @@ class CalendarQueue {
     return day >= kLastDay ? static_cast<std::uint64_t>(kLastDay)
                            : static_cast<std::uint64_t>(day);
   }
-  bool TodayHasEvents() const {
-    return today_active_ && today_pos_ < today_.size();
-  }
+  bool TodayHasEvents() const { return today_pos_ < today_.size(); }
   std::size_t BucketSideSize() const {
     return size_ - (today_.size() - today_pos_);
   }
@@ -263,7 +261,6 @@ class CalendarQueue {
   std::vector<SimEvent> today_;
   std::size_t today_pos_ = 0;
   std::uint64_t today_day_ = 0;
-  bool today_active_ = false;
   // StageDay scratch: per-slice counts, then slice boundaries.
   std::vector<std::uint32_t> stage_counts_;
 
